@@ -4,7 +4,10 @@
    (the rows/series printed match the paper's): Tables 5-1, 5-2, 6-1 and
    Figures 6-1 through 6-12. Part 2 runs Bechamel micro-benchmarks of
    the matcher's primitives and of run-time production addition (the
-   §5.1 mechanism), including the sharing ablation.
+   §5.1 mechanism), including the sharing ablation. The match-kernel,
+   memory, wide-alpha and sharing-on addition fixtures are the
+   repository benchmark's own ([Perfbench_suite.Micro]), so one set of
+   fixtures serves both programs.
 
    Modes (see README "Benchmark JSON"):
 
@@ -99,28 +102,29 @@ let bench_wme_churn =
          ignore (Psme_engine.Serial.run_changes net [ (Task.Add, w) ]);
          ignore (Psme_engine.Serial.run_changes net [ (Task.Delete, w) ])))
 
-let added_prod schema n =
-  Parser.parse_production schema
-    (Printf.sprintf
-       {|(p added-%d (block ^name <x> ^color blue) (place ^name <x> ^table free) --> (write x))|}
-       n)
-
-let bench_add_production ~share name =
-  Test.make ~name
+(* The sharing-off twin of [Micro.add_production]: each iteration adds
+   one production to a fresh one-production network built with node
+   sharing off, so nothing is reused (the Table 5-2 ablation). *)
+let bench_add_production_unshared =
+  Test.make ~name:"compile: add production, sharing off"
     (let counter = ref 0 in
      let schema = fixture_schema () in
      Staged.stage (fun () ->
-         (* a fresh small network per iteration: run-time addition cost
-            includes the share-point search against existing nodes *)
          let net =
-           Network.create ~config:{ Network.default_config with Network.share } schema
+           Network.create ~config:{ Network.default_config with Network.share = false }
+             schema
          in
          ignore
            (Build.add_all net
               (Parser.productions schema
                  {|(p base (block ^name <x> ^color blue) (hand ^state free) --> (write a))|}));
          incr counter;
-         ignore (Build.add_production net (added_prod schema !counter))))
+         ignore
+           (Build.add_production net
+              (Parser.parse_production schema
+                 (Printf.sprintf
+                    {|(p added-%d (block ^name <x> ^color blue) (place ^name <x> ^table free) --> (write x))|}
+                    !counter)))))
 
 let bench_token_ops =
   Test.make ~name:"token: extend+hash (8 slots)"
@@ -149,40 +153,6 @@ let bench_token_depth d =
      let w = Wme.make ~cls ~fields:[||] ~timetag:d in
      Staged.stage (fun () -> ignore (Token.hash (Token.extend base w))))
 
-(* One line loaded with [resident] entries of *distinct* (node, khash)
-   keys that all collide into the same hash line — the §6.1 collision
-   chain. The measured op probes one key; its cost should depend on the
-   bucket, not the line. *)
-let bench_memory_ops =
-  Test.make ~name:"memory: insert+probe+remove under line lock"
-    (let lines = 64 in
-     let mem = Memory.create ~lines () in
-     let cls = Sym.intern "c" in
-     let resident = 128 in
-     let () =
-       for i = 1 to resident do
-         (* khash multiples of [lines] all map to line 0, distinct keys *)
-         let kh = i * lines in
-         let w = Wme.make ~cls ~fields:[||] ~timetag:(1000 + i) in
-         let line = Memory.line_of mem ~khash:kh in
-         Memory.locked mem ~line (fun () ->
-             ignore
-               (Memory.left_add mem ~node:(100 + i) ~khash:kh (Token.singleton w)
-                  ~count:0))
-       done
-     in
-     let tag = ref 0 in
-     let kh = (resident + 7) * lines in
-     let line = Memory.line_of mem ~khash:kh in
-     Staged.stage (fun () ->
-         incr tag;
-         let w = Wme.make ~cls ~fields:[||] ~timetag:!tag in
-         let tok = Token.singleton w in
-         Memory.locked mem ~line (fun () ->
-             ignore (Memory.left_add mem ~node:1 ~khash:kh tok ~count:0);
-             ignore (Memory.left_iter mem ~node:1 ~khash:kh (fun _ -> ()));
-             ignore (Memory.left_remove mem ~node:1 ~khash:kh tok))))
-
 let bench_alpha =
   Test.make ~name:"alpha: constant-test pass for one wme"
     (let schema = fixture_schema () in
@@ -192,160 +162,6 @@ let bench_alpha =
      let () = fields.(1) <- Value.sym "blue" in
      let w = Wme.make ~cls ~fields ~timetag:1 in
      Staged.stage (fun () -> ignore (Runtime.seed_wme_change net Task.Add w)))
-
-(* Wide literal discrimination: 64 sibling constant tests on the same
-   field. A list-walk alpha network pays all 64 per wme; a dispatch
-   table pays one lookup. *)
-let bench_alpha_wide =
-  Test.make ~name:"alpha: 64-way sibling constant dispatch"
-    (let schema = fixture_schema () in
-     let prods =
-       String.concat "\n"
-         (List.init 64 (fun i ->
-              Printf.sprintf
-                {|(p w%d (block ^name n%d ^state live) --> (write x))|} i i))
-     in
-     let net = Network.create schema in
-     ignore (Build.add_all net (Parser.productions schema prods));
-     let w = block_wme ~name:"n63" ~color:"c" ~state:"live" ~timetag:1 () in
-     Staged.stage (fun () -> ignore (Runtime.seed_wme_change net Task.Add w)))
-
-(* --- match kernel: compiled node programs vs the interpreter ------------ *)
-
-(* Each pair builds the same one-production network twice — once with
-   [config.compiled] on (closure-compiled node programs, the PSM-E
-   machine-code analogue) and once off (the interpreter oracle) — and
-   measures the same activation against a populated opposite memory.
-   The fixture funnels 128 residents into ONE hash bucket (shared join
-   key) with a 4-test chain (1 eq + 3 residuals), so the measured cost
-   is the per-candidate test loop the compiler specializes: the staged
-   predicate extracts the activation-fixed fields once, where the
-   interpreter re-walks the test list per candidate. *)
-
-let kernel_join_prod =
-  {|(p kjoin (block ^name <x> ^color <c> ^on <o> ^state <s>)
-            (block ^on <x> ^name <> <o> ^color <> <c> ^state <> <s>)
-            --> (write j))|}
-
-let kernel_neg_prod =
-  {|(p kneg (block ^name <x> ^color <c> ^on <o> ^state <s>)
-           -(block ^on <x> ^name <> <o> ^color <> <c> ^state <> <s>)
-           --> (write n))|}
-
-let kernel_fixture ~compiled ~src ~kindp =
-  let schema = fixture_schema () in
-  let net =
-    Network.create
-      ~config:{ Network.default_config with Network.lines = 16; compiled }
-      schema
-  in
-  ignore (Build.add_all net (Parser.productions schema src));
-  let node =
-    Network.fold_nodes net ~init:None ~f:(fun acc n ->
-        match acc with
-        | Some _ -> acc
-        | None -> if kindp n.Network.kind then Some n else None)
-  in
-  (net, Option.get node)
-
-let kernel_variant compiled = if compiled then "compiled" else "interpreted"
-
-(* Token-side activation: the left token arrives, the right memory holds
-   the residents. All 4 tests pass for every candidate (join emits 128
-   children; neg counts 128 blockers and emits none — the pure scan). *)
-let bench_kernel_left ~compiled ~neg =
-  let base = if neg then "kernel: neg-left 4-test scan" else "kernel: join-left 4-test scan" in
-  Test.make ~name:(Printf.sprintf "%s (%s)" base (kernel_variant compiled))
-    (let src = if neg then kernel_neg_prod else kernel_join_prod in
-     let kindp = function
-       | Network.Join _ -> not neg
-       | Network.Neg _ -> neg
-       | _ -> false
-     in
-     let net, node = kernel_fixture ~compiled ~src ~kindp in
-     let nid = node.Network.id in
-     let resident = 128 in
-     let () =
-       for i = 1 to resident do
-         let w =
-           block_wme ~on:"kb" ~name:(Printf.sprintf "n%d" i)
-             ~color:(Printf.sprintf "c%d" i)
-             ~state:(Printf.sprintf "s%d" i)
-             ~timetag:i ()
-         in
-         ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Add; wme = w }))
-       done
-     in
-     let lw = block_wme ~name:"kb" ~color:"lc" ~on:"lo" ~state:"ls" ~timetag:9001 () in
-     let token = Token.singleton lw in
-     Staged.stage (fun () ->
-         ignore (Runtime.exec net (Task.Left { node = nid; flag = Task.Add; token }));
-         ignore (Runtime.exec net (Task.Left { node = nid; flag = Task.Delete; token }))))
-
-(* Miss scan: every candidate evaluates the full four-test chain (the
-   last residual fails) and nothing is emitted, so the measured cost is
-   the per-candidate test-evaluation kernel alone — no token-extension
-   or task-allocation tail shared with the interpreter. *)
-let bench_kernel_miss ~compiled =
-  Test.make
-    ~name:
-      (Printf.sprintf "kernel: join-left 4-test miss scan (%s)" (kernel_variant compiled))
-    (let kindp = function Network.Join _ -> true | _ -> false in
-     let net, node = kernel_fixture ~compiled ~src:kernel_join_prod ~kindp in
-     let nid = node.Network.id in
-     let () =
-       for i = 1 to 128 do
-         let w =
-           block_wme ~on:"kb" ~name:(Printf.sprintf "n%d" i)
-             ~color:(Printf.sprintf "c%d" i)
-             ~state:"ms" ~timetag:i ()
-         in
-         ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Add; wme = w }))
-       done
-     in
-     let lw = block_wme ~name:"kb" ~color:"lc" ~on:"lo" ~state:"ms" ~timetag:9001 () in
-     let token = Token.singleton lw in
-     Staged.stage (fun () ->
-         ignore (Runtime.exec net (Task.Left { node = nid; flag = Task.Add; token }));
-         ignore (Runtime.exec net (Task.Left { node = nid; flag = Task.Delete; token }))))
-
-(* Wme-side activation: the right wme arrives, the left memory holds 128
-   resident tokens in the same bucket. *)
-let bench_kernel_right ~compiled =
-  Test.make
-    ~name:(Printf.sprintf "kernel: join-right 4-test scan (%s)" (kernel_variant compiled))
-    (let kindp = function Network.Join _ -> true | _ -> false in
-     let net, node = kernel_fixture ~compiled ~src:kernel_join_prod ~kindp in
-     let nid = node.Network.id in
-     let resident = 128 in
-     let () =
-       for i = 1 to resident do
-         let lw =
-           block_wme ~name:"kb"
-             ~color:(Printf.sprintf "lc%d" i)
-             ~on:(Printf.sprintf "lo%d" i)
-             ~state:(Printf.sprintf "ls%d" i)
-             ~timetag:(2000 + i) ()
-         in
-         ignore
-           (Runtime.exec net
-              (Task.Left { node = nid; flag = Task.Add; token = Token.singleton lw }))
-       done
-     in
-     let tag = ref 9000 in
-     Staged.stage (fun () ->
-         incr tag;
-         let w = block_wme ~on:"kb" ~name:"rn" ~color:"rc" ~state:"rs" ~timetag:!tag () in
-         ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Add; wme = w }));
-         ignore (Runtime.exec net (Task.Right { node = nid; flag = Task.Delete; wme = w }))))
-
-let kernel_pairs =
-  [
-    "kernel: join-left 4-test scan";
-    "kernel: join-left 4-test miss scan";
-    "kernel: neg-left 4-test scan";
-    "kernel: join-right 4-test scan";
-  ]
 
 let bench_trace_emit =
   (* the per-event cost tracing adds to an engine's hot loop *)
@@ -362,26 +178,28 @@ let bench_metrics_incr =
     (let c = Psme_obs.Metrics.counter Psme_obs.Metrics.global "bench.counter" in
      Staged.stage (fun () -> Psme_obs.Metrics.incr c))
 
+(* Row names are stable identifiers of the BENCH_*.json trajectory; the
+   kernel rows keep their "(compiled)" suffix so gates against older
+   baselines compare the same rows. The kernels funnel 128 residents
+   into ONE hash bucket with a 4-test chain (1 eq + 3 residuals), so the
+   measured cost is the per-candidate test loop of the node programs. *)
 let micro_benchmarks () =
+  let module M = Perfbench_suite.Micro in
   [
     bench_wme_churn;
-    bench_add_production ~share:true "compile: add production, sharing on";
-    bench_add_production ~share:false "compile: add production, sharing off";
+    M.add_production "compile: add production, sharing on";
+    bench_add_production_unshared;
     bench_token_ops;
     bench_token_depth 4;
     bench_token_depth 64;
     bench_token_depth 256;
-    bench_memory_ops;
+    M.memory_ops "memory: insert+probe+remove under line lock";
     bench_alpha;
-    bench_alpha_wide;
-    bench_kernel_left ~compiled:true ~neg:false;
-    bench_kernel_left ~compiled:false ~neg:false;
-    bench_kernel_left ~compiled:true ~neg:true;
-    bench_kernel_left ~compiled:false ~neg:true;
-    bench_kernel_miss ~compiled:true;
-    bench_kernel_miss ~compiled:false;
-    bench_kernel_right ~compiled:true;
-    bench_kernel_right ~compiled:false;
+    M.alpha_seed "alpha: 64-way sibling constant dispatch";
+    M.left_scan ~neg:false ~miss:false "kernel: join-left 4-test scan (compiled)";
+    M.left_scan ~neg:true ~miss:false "kernel: neg-left 4-test scan (compiled)";
+    M.left_scan ~neg:false ~miss:true "kernel: join-left 4-test miss scan (compiled)";
+    M.right_scan "kernel: join-right 4-test scan (compiled)";
     bench_trace_emit;
     bench_metrics_incr;
   ]
@@ -481,11 +299,11 @@ let attribution_series ~procs_axis workloads =
         procs_axis)
     workloads
 
-(* --- end-to-end cycles/sec: compiled vs interpreted ---------------------- *)
+(* --- end-to-end cycles/sec ------------------------------------------------ *)
 
 type e2e_result = {
   e2e_workload : string;
-  e2e_variant : string;  (* "compiled" | "interpreted" *)
+  e2e_variant : string;  (* "compiled": the row name older baselines use *)
   e2e_decisions : int;
   e2e_cycles : int;      (* elaboration cycles *)
   e2e_wall_ns : int;
@@ -493,16 +311,15 @@ type e2e_result = {
 }
 
 (* Full learning run on the real serial engine: chunks built mid-run are
-   compiled and spliced into the jumptable, so the compiled variant
-   measures the §5.1 story end to end. Best of [reps] wall times. *)
-let e2e_run ?(reps = 3) (w : Psme_workloads.Workload.t) ~compiled =
+   compiled and spliced into the jumptable, so the run measures the
+   §5.1 story end to end. Best of [reps] wall times. *)
+let e2e_run ?(reps = 3) (w : Psme_workloads.Workload.t) =
   let open Psme_soar in
   let config =
     {
       Agent.default_config with
       Agent.learning = true;
       engine_mode = Psme_engine.Engine.Serial_mode;
-      net_config = { Network.default_config with Network.compiled };
     }
   in
   let best = ref max_int in
@@ -519,17 +336,14 @@ let e2e_run ?(reps = 3) (w : Psme_workloads.Workload.t) ~compiled =
   done;
   {
     e2e_workload = w.Psme_workloads.Workload.name;
-    e2e_variant = kernel_variant compiled;
+    e2e_variant = "compiled";
     e2e_decisions = !decisions;
     e2e_cycles = !cycles;
     e2e_wall_ns = !best;
     e2e_cps = float_of_int !cycles /. (float_of_int !best /. 1e9);
   }
 
-let e2e_series ~reps workloads =
-  List.concat_map
-    (fun w -> [ e2e_run ~reps w ~compiled:true; e2e_run ~reps w ~compiled:false ])
-    workloads
+let e2e_series ~reps workloads = List.map (e2e_run ~reps) workloads
 
 (* --- machine-readable output -------------------------------------------- *)
 
@@ -649,43 +463,17 @@ let write_json path doc =
   output_string oc "\n";
   close_out oc
 
-(* --- compiled-vs-interpreted advisory check ------------------------------ *)
-
-(* CI's fail-soft bench-regression gate: compare each kernel pair and
-   emit a GitHub warning annotation (not a failure) when the compiled
-   program is not faster than the interpreter. *)
-let check_compiled micro =
-  let find name =
-    match List.assoc_opt name micro with Some (Some e) -> Some e | _ -> None
-  in
-  List.iter
-    (fun base ->
-      match (find (base ^ " (compiled)"), find (base ^ " (interpreted)")) with
-      | Some c, Some i when c < i ->
-        Format.printf "compiled-check: %-32s ok  %8.0f vs %8.0f ns/run (%.2fx)@."
-          base c i (i /. c)
-      | Some c, Some i ->
-        Format.printf
-          "::warning title=bench regression::%s: compiled %.0f ns/run is not \
-           faster than interpreted %.0f ns/run@."
-          base c i
-      | _ ->
-        Format.printf "::warning title=bench regression::%s: missing estimates@."
-          base)
-    kernel_pairs
-
 (* --- driver -------------------------------------------------------------- *)
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--quick] [--check-compiled] [--json FILE]\n\
+    "usage: main.exe [--quick] [--json FILE]\n\
     \       [--gate BASELINE.json] [--gate-tolerance X] [--gate-handicap X]";
   exit 2
 
 let () =
   let quick = ref false in
   let json_path = ref None in
-  let check = ref false in
   let gate = ref None in
   let gate_tolerance = ref Psme_harness.Perf_gate.default_tolerance in
   let gate_handicap = ref 0. in
@@ -700,9 +488,6 @@ let () =
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      parse rest
-    | "--check-compiled" :: rest ->
-      check := true;
       parse rest
     | "--json" :: path :: rest ->
       json_path := Some path;
@@ -736,10 +521,6 @@ let () =
       | Some e -> Format.printf "%-48s %12.0f ns/run@." name e
       | None -> Format.printf "%-48s (no estimate)@." name)
     micro;
-  if !check then begin
-    Format.printf "@.== compiled vs interpreted (kernel) ==@.";
-    check_compiled micro
-  end;
   Psme_obs.Telemetry.reset Psme_obs.Telemetry.global;
   let e2e =
     let workloads =

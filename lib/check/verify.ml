@@ -116,6 +116,18 @@ let structure (net : Network.t) =
         if successors n <> [] then
           err "kind-wiring" (node_name n.id) "terminal node has successors"
       | _ -> ());
+  (* the jumptable is the only dispatch path: a live node with no
+     program would absorb its tasks silently, and a slot that outlives
+     its node is stale code *)
+  let with_program = ref 0 in
+  iter_nodes net (fun n ->
+      if Program.find net n.id = None then
+        err "jumptable" (node_name n.id) "live node has no compiled program"
+      else incr with_program);
+  let stale = Program.compiled_count net - !with_program in
+  if stale > 0 then
+    err "jumptable" "network"
+      (Printf.sprintf "%d program slot(s) outlive their nodes" stale);
   (* alpha feeds, both directions *)
   iter_nodes net (fun n ->
       match n.alpha_src with

@@ -10,6 +10,9 @@
     - node kinds agree with their wiring (entries have no parent, joins
       and negatives have both a parent and an alpha feed, NCC partners
       name their NCC node, P-nodes terminate chains);
+    - every live node has a compiled program in the jumptable, and no
+      program slot outlives its node (the jumptable is the only
+      dispatch path, so a missing program would drop tasks silently);
     - every node registered under an alpha memory names that memory, and
       vice versa;
     - every P-node is reachable from an entry node and every node feeds

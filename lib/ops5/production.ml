@@ -90,6 +90,25 @@ let validate name lhs rhs =
       | Action.Make _ | Action.Write _ | Action.Halt -> ())
     rhs
 
+let negates_before_binding t =
+  let pos_binds = function
+    | Cond.Pos _ as c -> bound_vars_of_lhs [ c ]
+    | Cond.Neg _ | Cond.Ncc _ -> []
+  in
+  let rec go before = function
+    | [] -> false
+    | c :: rest ->
+      (match c with
+      | Cond.Pos _ -> false
+      | Cond.Neg _ | Cond.Ncc _ ->
+        let later = List.concat_map pos_binds rest in
+        List.exists
+          (fun v -> (not (List.mem v before)) && List.mem v later)
+          (Cond.vars c))
+      || go (pos_binds c @ before) rest
+  in
+  go [] t.lhs
+
 let make ?(is_chunk = false) ~name ~lhs ~rhs () =
   validate name lhs rhs;
   { name; lhs; rhs; is_chunk }

@@ -19,6 +19,22 @@ val make :
     - [Remove]/[Modify] indices refer to positive CEs.
     Raises [Invalid_argument] with a descriptive message otherwise. *)
 
+(** {2 Written-order semantics}
+
+    The LHS reads left to right. Within a CE, tests run in field order.
+    A variable's first occurrence in a top-level positive CE binds it;
+    later occurrences test equality. A variable that a negated CE or an
+    NCC group mentions before any earlier positive CE has bound it is
+    local to that CE or group: [-(slot ^holds <n>) (item ^name <n>)]
+    means "no slot holds anything", not "no slot holds this item". A
+    build that moves negations after every positive CE (the reordered
+    and bilinear builds) would turn such a local into a join, so those
+    builds decline the productions {!negates_before_binding} flags. *)
+
+val negates_before_binding : t -> bool
+(** Some negated CE or NCC group mentions a variable before the
+    top-level positive CE that binds it. *)
+
 val num_ces : t -> int
 (** The paper's condition-element count (Table 5-1). *)
 

@@ -53,7 +53,9 @@ let analyze net ~lookup ~defer ~slot_for_binds ce =
       | None ->
         if defer v then begin
           deferred := (v, rel, field) :: !deferred;
-          Hashtbl.replace locals v field
+          (* only an equality occurrence carries the other group's value:
+             later tests on [v] may then compare within this wme *)
+          if rel = Cond.Eq then Hashtbl.replace locals v field
         end
         else if rel = Cond.Eq then begin
           Hashtbl.replace locals v field;
@@ -294,6 +296,10 @@ let attach_pnode st prod ~perm ~bindings =
 
 (* --- linear build ---------------------------------------------------- *)
 
+(* The CEs that occupy token slots: top-level positives only (an NCC
+   group's positives live in its subnetwork's tokens). *)
+let slot_ces lhs = List.filter_map (function Cond.Pos ce -> Some ce | _ -> None) lhs
+
 let build_linear net prod created =
   let st = fresh_state net created in
   List.iter (add_cond st) prod.Production.lhs;
@@ -313,7 +319,7 @@ let build_linear net prod created =
    sets, RHS evaluation and chunking see exactly the written production. *)
 let build_reordered net prod created order =
   let st = fresh_state net created in
-  let positives = Array.of_list (Cond.positives prod.Production.lhs) in
+  let positives = Array.of_list (slot_ces prod.Production.lhs) in
   Array.iter (fun ce_idx -> add_positive_ce st positives.(ce_idx)) order;
   List.iter
     (function
@@ -446,7 +452,7 @@ let combine_sides st_created net (a : side) (b : side) ~ctx_len =
 
 let build_bilinear net prod created =
   let cfg = net.Network.config in
-  let positives = Cond.positives prod.Production.lhs in
+  let positives = slot_ces prod.Production.lhs in
   let n_pos = List.length positives in
   let ctx_len = min cfg.Network.bilinear_ctx n_pos in
   let first_bind = first_binding_positions positives in
@@ -551,7 +557,8 @@ let add_production net prod =
   let cfg = net.Network.config in
   let use_bilinear =
     cfg.Network.bilinear
-    && List.length (Cond.positives prod.Production.lhs) >= cfg.Network.bilinear_min_ces
+    && List.length (slot_ces prod.Production.lhs) >= cfg.Network.bilinear_min_ces
+    && not (Production.negates_before_binding prod)
   in
   let reorder =
     if use_bilinear || not cfg.Network.reorder_joins then None

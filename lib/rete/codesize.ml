@@ -117,8 +117,7 @@ let sharing_report net =
 
 (* The closure compiler's analogue of the byte model above: what the
    node programs actually allocated, counted by [Program]'s size model
-   (closures and their heap words). Zero everywhere when the network
-   runs interpreted. *)
+   (closures and their heap words). *)
 
 type compiled_report = {
   cp_programs : int;  (** nodes with an installed program *)
@@ -129,7 +128,7 @@ type compiled_report = {
 let cp_empty = { cp_programs = 0; cp_closures = 0; cp_words = 0 }
 
 let cp_add net r nid =
-  match Program.node_entry net nid with
+  match Program.find net nid with
   | None -> r
   | Some _ ->
     {

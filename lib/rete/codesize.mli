@@ -49,8 +49,8 @@ val bytes_per_two_input_node : Network.t -> Build.add_result -> float
 (** {2 Compiled node programs}
 
     What the closure compiler ({!Program}) actually installed — the
-    paper's code-size-vs-learning measurement applied to the compiled
-    path. All zero when the network runs interpreted. *)
+    paper's code-size-vs-learning measurement applied to the node
+    programs every live node runs. *)
 
 type compiled_report = {
   cp_programs : int;  (** nodes with an installed program *)

@@ -187,6 +187,7 @@ let reorderable (p : Production.t) =
     (function Cond.Pos _ | Cond.Neg _ -> true | Cond.Ncc _ -> false)
     p.Production.lhs
   && List.length (Cond.positives p.Production.lhs) >= 2
+  && not (Production.negates_before_binding p)
 
 (* Greedy most-selective-linked-first placement. A CE is eligible when
    every variable its predicates need is already bound; among eligible

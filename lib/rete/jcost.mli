@@ -69,7 +69,9 @@ val chain_of_order : Production.t -> int array -> chain
 
 val reorderable : Production.t -> bool
 (** No NCC groups (their group-local slot layout pins the written
-    order) and at least two positive CEs. *)
+    order), at least two positive CEs, and no negation that mentions a
+    variable before its binding CE (placing negations last would turn
+    that local into a join; see {!Production.negates_before_binding}). *)
 
 val suggest : Production.t -> chain option
 (** Greedy dependency-respecting search for a cheaper placement:

@@ -60,13 +60,12 @@ type config = {
   bilinear_group : int;
   bilinear_min_ces : int;
   lines : int;
-  compiled : bool;
   reorder_joins : bool;
 }
 
 let default_config =
   { share = true; bilinear = false; bilinear_ctx = 3; bilinear_group = 3;
-    bilinear_min_ces = 8; lines = 512; compiled = true; reorder_joins = false }
+    bilinear_min_ces = 8; lines = 512; reorder_joins = false }
 
 (* The jumptable of compiled node programs. The concrete constructor is
    added by [Program] (which sits above this module); keeping the type
@@ -166,85 +165,6 @@ let two_input_node_count t =
       | Join _ | Neg _ | Ncc _ | Bjoin _ -> acc + 1
       | Entry | Ncc_partner _ | Pnode _ -> acc)
     t.beta 0
-
-(* --- hash keys ----------------------------------------------------- *)
-
-let mix acc v = (acc * 31) + Value.hash v land max_int
-
-let id_seed id = (id * 0x9e3779b1) land max_int
-
-let khash_right n w =
-  match n.kind with
-  | Join ti | Neg ti ->
-    List.fold_left (fun acc jt -> mix acc (Wme.field w jt.r_fld)) (id_seed n.id) ti.eq
-  | Entry | Ncc _ | Ncc_partner _ | Bjoin _ | Pnode _ ->
-    invalid_arg "khash_right: not a wme-joining node"
-
-let khash_left n tok =
-  match n.kind with
-  | Join ti | Neg ti ->
-    List.fold_left
-      (fun acc jt -> mix acc (Token.field tok ~slot:jt.l_slot ~fld:jt.l_fld))
-      (id_seed n.id) ti.eq
-  | Entry | Ncc _ | Ncc_partner _ | Bjoin _ | Pnode _ ->
-    invalid_arg "khash_left: not a wme-joining node"
-
-let khash_entry n w = (id_seed n.id + Wme.hash w) land max_int
-
-let khash_ncc_left n tok =
-  match n.kind with
-  | Ncc _ -> (id_seed n.id + Token.hash tok) land max_int
-  | _ -> invalid_arg "khash_ncc_left"
-
-let khash_ncc_right n subtok =
-  match n.kind with
-  | Ncc_partner { ncc; prefix_len } ->
-    (id_seed ncc + Token.hash (Token.prefix subtok prefix_len)) land max_int
-  | _ -> invalid_arg "khash_ncc_right"
-
-let btest_left_hash acc tok = function
-  | B_fields { a_slot; a_fld; rel = Cond.Eq; _ } ->
-    mix acc (Token.field tok ~slot:a_slot ~fld:a_fld)
-  | B_same_wme { a_slot; _ } ->
-    (acc * 31) + (Token.wme tok a_slot).Wme.timetag land max_int
-  | B_fields _ -> acc
-
-let btest_right_hash acc tok = function
-  | B_fields { b_slot; b_fld; rel = Cond.Eq; _ } ->
-    mix acc (Token.field tok ~slot:b_slot ~fld:b_fld)
-  | B_same_wme { b_slot; _ } ->
-    (acc * 31) + (Token.wme tok b_slot).Wme.timetag land max_int
-  | B_fields _ -> acc
-
-let khash_bjoin_left n tok =
-  match n.kind with
-  | Bjoin b -> List.fold_left (fun acc bt -> btest_left_hash acc tok bt) (id_seed n.id) b.b_eq
-  | _ -> invalid_arg "khash_bjoin_left"
-
-let khash_bjoin_right n tok =
-  match n.kind with
-  | Bjoin b -> List.fold_left (fun acc bt -> btest_right_hash acc tok bt) (id_seed n.id) b.b_eq
-  | _ -> invalid_arg "khash_bjoin_right"
-
-(* --- test evaluation ---------------------------------------------- *)
-
-let jtest_holds tok w jt =
-  Cond.eval_relation jt.rel
-    (Token.field tok ~slot:jt.l_slot ~fld:jt.l_fld)
-    (Wme.field w jt.r_fld)
-
-let jtests_hold ti tok w =
-  List.for_all (jtest_holds tok w) ti.eq && List.for_all (jtest_holds tok w) ti.others
-
-let btest_holds a b = function
-  | B_fields { a_slot; a_fld; rel; b_slot; b_fld } ->
-    Cond.eval_relation rel
-      (Token.field a ~slot:a_slot ~fld:a_fld)
-      (Token.field b ~slot:b_slot ~fld:b_fld)
-  | B_same_wme { a_slot; b_slot } -> Wme.equal (Token.wme a a_slot) (Token.wme b b_slot)
-
-let btests_hold bi a b =
-  List.for_all (btest_holds a b) bi.b_eq && List.for_all (btest_holds a b) bi.b_others
 
 (* --- instantiation bindings ---------------------------------------- *)
 

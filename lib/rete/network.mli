@@ -72,17 +72,17 @@ type config = {
   bilinear : bool;       (** build constrained bilinear networks (§6.2) *)
   bilinear_ctx : int;    (** context-prefix length (Gr1) *)
   bilinear_group : int;  (** CEs per group *)
-  bilinear_min_ces : int;  (** only restructure productions at least this long *)
+  bilinear_min_ces : int;
+      (** only restructure productions with at least this many top-level
+          positive CEs *)
   lines : int;           (** hash lines in the global memories *)
-  compiled : bool;
-      (** execute activations through closure-compiled node programs
-          (the PSM-E machine-code analogue, §4/§5.1); the interpreter
-          remains available as the oracle when [false] *)
   reorder_joins : bool;
       (** place positive CEs in the order {!Jcost.suggest} predicts is
           cheapest (negations after all positives); the P-node's slot
           permutation restores CE order, so conflict sets, bindings and
-          chunking are unchanged. Off by default. *)
+          chunking are unchanged. Productions whose meaning depends on
+          written order ({!Production.negates_before_binding}) keep the
+          linear build, as they do under [bilinear]. Off by default. *)
 }
 
 val default_config : config
@@ -150,30 +150,6 @@ val productions : t -> pmeta list
 val find_production : t -> Sym.t -> pmeta option
 val beta_node_count : t -> int
 val two_input_node_count : t -> int
-
-(** {2 Hash keys and test evaluation} *)
-
-val mix : int -> Value.t -> int
-(** One step of the khash fold. Exported so {!Program}'s specialized
-    khash closures compute bit-identical keys to the interpreter's. *)
-
-val id_seed : int -> int
-
-val khash_right : node -> Wme.t -> int
-val khash_left : node -> Token.t -> int
-val khash_entry : node -> Wme.t -> int
-val khash_ncc_left : node -> Token.t -> int
-val khash_ncc_right : node -> Token.t -> int
-(** Hash of the [prefix_len]-prefix of a subnetwork token, under the NCC
-    node's id. *)
-
-val khash_bjoin_left : node -> Token.t -> int
-val khash_bjoin_right : node -> Token.t -> int
-
-val jtests_hold : two_input -> Token.t -> Wme.t -> bool
-(** All tests of the node ([eq] and [others]) hold. *)
-
-val btests_hold : binary -> Token.t -> Token.t -> bool
 
 val bindings_of : t -> Sym.t -> Token.t -> (string * Value.t) list
 (** Variable values of an instantiation of the named production. *)

@@ -16,15 +16,16 @@ open Network
         predicate. Staging is the key trick: the predicate first
         specializes on the activation-fixed operand (extracting its
         fields exactly once), then runs monomorphically over every
-        candidate of the memory scan — where the interpreter re-walks
-        the test list and re-extracts the fixed side per candidate;
+        candidate of the memory scan, instead of re-walking the test
+        list and re-extracting the fixed side per candidate;
      3. fan-out: successor arrays are read directly (registration
         order), so emit allocates only the task records themselves.
 
-   Every compiled handler mirrors its interpreter twin in [Runtime]
-   line by line: scanned counts, accesses, children order and conflict
-   transitions are bit-identical, which is what lets the interpreter
-   remain the differential oracle. *)
+   The jumptable is the only dispatch path: every live node has a
+   program from the moment it is built, and an excised node's empty
+   slot absorbs the tasks still queued for it. The conflict sets these
+   programs produce are checked against an independent naive matcher
+   (test/naive.ml) that shares no code with this library. *)
 
 type access = {
   acc_node : int;
@@ -46,8 +47,7 @@ let no_children =
 
 (* Fault-injection hook for the race detector's self-test: when set, exec
    sections run WITHOUT taking the line lock (and report their accesses as
-   unlocked). Never enable outside analysis tests. Shared by the compiled
-   and interpreted paths. *)
+   unlocked). Never enable outside analysis tests. *)
 let elide = ref false
 let set_lock_elision b = elide := b
 let lock_elision () = !elide
@@ -65,25 +65,6 @@ let task_to flag token (sid, port) =
   | P_right -> Task.Rtok { node = sid; flag; token }
 
 let emit n flag token = Array.map (task_to flag token) n.succs
-
-(* Tokens in list order, each fanned to all successors in registration
-   order — exactly the order the per-token emit concatenation produced. *)
-let emit_all n flag tokens =
-  let succs = n.succs in
-  let ns = Array.length succs in
-  match tokens with
-  | [] -> [||]
-  | t0 :: _ when ns > 0 ->
-    let k = List.length tokens in
-    let out = Array.make (k * ns) (task_to flag t0 succs.(0)) in
-    List.iteri
-      (fun ti tok ->
-        for si = 0 to ns - 1 do
-          out.((ti * ns) + si) <- task_to flag tok succs.(si)
-        done)
-      tokens;
-    out
-  | _ :: _ -> [||]
 
 (* Negative-node transitions carry their own flag per token. *)
 let emit_transitions n transitions =
@@ -106,9 +87,9 @@ let emit_transitions n transitions =
 (* Fused extend+emit for join scans: matched operands arrive as a list
    in REVERSE scan order (one cons per match — an empty scan allocates
    nothing); rows are filled back-to-front so each extended token fans
-   to every successor in registration order — the exact sequence
-   [emit_all] produced from the rev_map'd match list, without
-   materializing it. Token extension is skipped entirely when the node
+   to every successor in registration order — the same sequence as
+   emitting each extended token in scan order, without materializing
+   the token list. Token extension is skipped entirely when the node
    has no successors (extension is pure, so nothing observable is
    lost). *)
 let emit_extended n flag ~extend rev_ms k =
@@ -154,8 +135,8 @@ let chain = function
 
 (* One jtest, compile-time resolved: the comparator is picked per
    relation ONCE (no [eval_relation] dispatch per candidate; [Eq] calls
-   [Value.equal] directly). The comparator's argument order is the
-   interpreter's: (token-side value, wme-side value). *)
+   [Value.equal] directly). The comparator's argument order is
+   (token-side value, wme-side value). *)
 type spec = {
   sp_slot : int;
   sp_lfld : int;
@@ -307,8 +288,8 @@ let eqne_staged_right = function
    activation time, then runs monomorphically per scanned wme. Arities
    1–4 are unrolled (no per-activation combinator allocation, no
    per-candidate chain walk); longer chains fall back to an array loop.
-   Test order matches the interpreter: all [eq], then all [others];
-   short-circuit is left-to-right. *)
+   Test order: all [eq], then all [others]; short-circuit is
+   left-to-right. *)
 let jtests_staged_left ti =
   let jts = ti.eq @ ti.others in
   match eqne_all jts with
@@ -437,8 +418,14 @@ let btests_staged_right bi = chain (List.map btest_right (bi.b_eq @ bi.b_others)
 
 (* --- specialized khash extraction ------------------------------------- *)
 
-(* Bit-identical to the [Network.khash_*] folds (same [mix], same
-   order); an empty [eq] list folds the whole hash to the node's seed. *)
+(* A node's hash key folds [mix] over its equality-test fields (in [eq]
+   order) starting from the node's seed; an empty [eq] list folds the
+   whole hash to the seed. The left and right keys of a matching pair
+   coincide, so each activation probes one bucket. *)
+
+let mix acc v = (acc * 31) + Value.hash v land max_int
+
+let id_seed id = (id * 0x9e3779b1) land max_int
 
 let khash_left_prog nid eq =
   let seed = id_seed nid in
@@ -508,8 +495,7 @@ type entry = {
   e_words : int;     (** modeled heap words of those closures *)
 }
 
-(* Invalid-port handlers raise the same diagnostics as the interpreter's
-   dispatch, so misrouted tasks fail identically on both paths. *)
+(* Invalid-port handlers: a misrouted task is a wiring bug. *)
 let bad_left _ _ =
   invalid_arg "Runtime.exec: left token delivered to a right-only node"
 
@@ -961,12 +947,7 @@ let install net nid =
   (match t.slots.(nid) with Some _ -> () | None -> t.count <- t.count + 1);
   t.slots.(nid) <- Some (compile net (Network.node net nid))
 
-let compile_new net ids =
-  if net.config.compiled then List.iter (install net) ids
-
-let compile_all net =
-  if net.config.compiled then
-    Network.iter_nodes net (fun n -> install net n.id)
+let compile_new net ids = List.iter (install net) ids
 
 let clear_node net nid =
   match net.jumptable with
@@ -989,15 +970,65 @@ let run e task =
   | Task.Right { flag; wme; _ } -> e.run_right flag wme
   | Task.Rtok { flag; token; _ } -> e.run_rtok flag token
 
+(* --- replay (update phase, §5.2) ----------------------------------------- *)
+
+(* Recompute a two-input node's join from its stored left and right
+   state, probing the right memory with the same khash and staged test
+   the node's program runs. The closures are built here, per replay,
+   rather than kept on the program record: replay is rare (once per
+   last-shared node of an added production) and a per-node field would
+   cost heap for every compiled node. *)
+let rejoin mem nid ~khash ~visit =
+  let lefts = ref [] in
+  Memory.iter_node_left mem ~node:nid (fun e -> lefts := e.Memory.l_token :: !lefts);
+  List.iter
+    (fun tok ->
+      let kh = khash tok in
+      let line = Memory.line_of mem ~khash:kh in
+      let each = visit tok in
+      Memory.locked mem ~line (fun () ->
+          ignore (Memory.right_iter mem ~node:nid ~khash:kh each)))
+    !lefts
+
+let replay_parent net ~parent ~child ~port =
+  let mem = net.mem in
+  let out = ref [] in
+  let push tok = out := task_to Task.Add tok (child, port) :: !out in
+  (match parent.kind with
+  | Entry ->
+    Memory.iter_node_right mem ~node:parent.id (fun payload ->
+        match payload with
+        | Memory.R_wme w -> push (Token.singleton w)
+        | Memory.R_tok _ -> ())
+  | Join ti ->
+    let test = jtests_staged_left ti in
+    rejoin mem parent.id ~khash:(khash_left_prog parent.id ti.eq) ~visit:(fun tok ->
+        let pass = test tok in
+        function
+        | Memory.R_wme w -> if pass w then push (Token.extend tok w)
+        | Memory.R_tok _ -> ())
+  | Neg _ | Ncc _ ->
+    Memory.iter_node_left mem ~node:parent.id (fun e ->
+        if e.Memory.l_count = 0 then push e.Memory.l_token)
+  | Bjoin bi ->
+    let test = btests_staged_left bi in
+    let khash = bkhash_prog parent.id (List.map bhash_left_step bi.b_eq) in
+    rejoin mem parent.id ~khash ~visit:(fun tok ->
+        let pass = test tok in
+        function
+        | Memory.R_tok rt ->
+          if pass rt then push (Token.concat tok (Token.suffix rt bi.right_drop))
+        | Memory.R_wme _ -> ())
+  | Ncc_partner _ | Pnode _ ->
+    invalid_arg "Program.replay_parent: node kind stores no replayable output");
+  List.rev !out
+
 (* --- introspection ----------------------------------------------------- *)
 
 let table_capacity t = Array.length t.slots
-let table_count t = t.count
 
 let compiled_count net =
   match net.jumptable with Table t -> t.count | _ -> 0
-
-let node_entry net nid = find net nid
 
 let node_closures net nid =
   match find net nid with Some e -> e.e_closures | None -> 0

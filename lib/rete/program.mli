@@ -15,10 +15,9 @@
       allocates only the task records.
 
     Compiled programs live in a dispatch table indexed by node ID (the
-    jumptable) carried in [Network.t]. Handlers are bit-identical to the
-    [Runtime] interpreter in every measured respect — scanned counts,
-    accesses, children order, conflict-set transitions — so the
-    interpreter remains the differential oracle. *)
+    jumptable) carried in [Network.t]. It is the only dispatch path:
+    every live node has a program, and an excised node's empty slot
+    absorbs the tasks still queued for it. *)
 
 (** {2 Outcome of one activation}
 
@@ -42,24 +41,9 @@ type outcome = {
 val no_children : outcome
 
 val set_lock_elision : bool -> unit
-(** Fault injection for the race detector's self-test (shared by the
-    compiled and interpreted paths). *)
+(** Fault injection for the race detector's self-test. *)
 
 val lock_elision : unit -> bool
-
-val with_line : Memory.t -> line:int -> (unit -> 'a) -> 'a
-val access : node:int -> line:int -> access
-
-(** {2 Fan-out helpers}
-
-    Allocation-free except for the result array; also used by the
-    interpreter path in [Runtime]. Order: tokens in list order, each
-    fanned to all successors in registration order. *)
-
-val emit : Network.node -> Task.flag -> Token.t -> Task.t array
-val emit_all : Network.node -> Task.flag -> Token.t list -> Task.t array
-val emit_transitions :
-  Network.node -> (Task.flag * Token.t) list -> Task.t array
 
 (** {2 Compiled programs and the jumptable} *)
 
@@ -77,29 +61,31 @@ type Network.jumptable += Table of table
 
 val run : entry -> Task.t -> outcome
 val find : Network.t -> int -> entry option
-(** [None] for never-compiled or excised nodes; callers fall back to
-    the interpreter. *)
+(** [None] for excised nodes. *)
 
 val compile_new : Network.t -> int list -> unit
-(** Compile and install programs for newly created nodes. No-op when
-    [config.compiled] is false, so the builder calls unconditionally. *)
+(** Compile and install programs for newly created nodes. *)
 
-val compile_all : Network.t -> unit
 val clear_node : Network.t -> int -> unit
-(** Drop an excised node's program so queued tasks fall back to the
-    interpreter's excised-node handling. *)
+(** Drop an excised node's program, so tasks still queued for the node
+    are absorbed. *)
 
-(** {2 Introspection (Codesize report, tests)} *)
+val replay_parent :
+  Network.t -> parent:Network.node -> child:int -> port:Network.port -> Task.t list
+(** "Specially execute" an existing node: recompute its stored output
+    tokens from its memory state and address them to exactly one (new)
+    successor — the last-shared-node step of the §5.2 update. Joins are
+    recomputed with the node's own khash and staged tests. *)
+
+(** {2 Introspection (Codesize report, Verify, tests)} *)
 
 val table : Network.t -> table option
 val table_capacity : table -> int
-val table_count : table -> int
 val compiled_count : Network.t -> int
 
-val node_entry : Network.t -> int -> entry option
 val node_closures : Network.t -> int -> int
-(** Number of closures the node's program compiled to (0 if not
-    compiled). *)
+(** Number of closures the node's program compiled to (0 if it has
+    none). *)
 
 val node_words : Network.t -> int -> int
 (** Modeled heap words of those closures — the compiled-code analogue of

@@ -1,8 +1,7 @@
-open Psme_ops5
 open Network
 
-(* The canonical access/outcome definitions moved to [Program] (the
-   compiled path); re-exported here with type equations so engines and
+(* The canonical access/outcome definitions live in [Program] (the node
+   programs); re-exported here with type equations so engines and
    analyses keep reading [o.Runtime.children] etc. unchanged. *)
 
 type access = Program.access = {
@@ -20,302 +19,10 @@ type outcome = Program.outcome = {
   accesses : access list;
 }
 
-let no_children = Program.no_children
-
-(* Fault-injection hook, shared with the compiled path (lives in
-   [Program] so both execution paths elide the same lock). *)
+(* Fault-injection hook (lives in [Program], whose sections take the
+   line locks). *)
 let set_lock_elision = Program.set_lock_elision
 let lock_elision = Program.lock_elision
-
-let with_line net ~line f = Program.with_line net.mem ~line f
-let access = Program.access
-
-(* Fan-out through the node's precomputed successor array; shared with
-   the compiled path so both emit in identical order (tokens in list
-   order, successors in registration order). *)
-let emit = Program.emit
-let emit_all = Program.emit_all
-
-(* --- entry ---------------------------------------------------------- *)
-
-let exec_entry net n (flag : Task.flag) w =
-  let kh = khash_entry n w in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let transitioned =
-    with_line net ~line (fun () ->
-        match flag with
-        | Task.Add -> Memory.right_add net.mem ~node:n.id ~khash:kh (Memory.R_wme w)
-        | Task.Delete -> Memory.right_remove net.mem ~node:n.id ~khash:kh (Memory.R_wme w))
-  in
-  if not transitioned then { no_children with accesses = [ acc ] }
-  else
-    let tok = Token.singleton w in
-    { children = emit n flag tok; scanned = 0; matched = 1; insts = [];
-      accesses = [ acc ] }
-
-(* --- join ----------------------------------------------------------- *)
-
-let exec_join_left net n ti (flag : Task.flag) token =
-  let kh = khash_left n token in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let matches = ref [] in
-  let scanned = ref 0 in
-  let live =
-    with_line net ~line (fun () ->
-        let live =
-          match flag with
-          | Task.Add -> (
-            match Memory.left_add net.mem ~node:n.id ~khash:kh token ~count:0 with
-            | `Activated _ -> true
-            | `Inert -> false)
-          | Task.Delete -> (
-            match Memory.left_remove net.mem ~node:n.id ~khash:kh token with
-            | `Deactivated _ -> true
-            | `Inert -> false)
-        in
-        if live then
-          scanned :=
-            Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
-                match payload with
-                | Memory.R_wme w -> if jtests_hold ti token w then matches := w :: !matches
-                | Memory.R_tok _ -> ());
-        live)
-  in
-  if not live then { no_children with accesses = [ acc ] }
-  else
-    let tokens = List.rev_map (fun w -> Token.extend token w) !matches in
-    { children = emit_all n flag tokens; scanned = !scanned; matched = List.length tokens;
-      insts = []; accesses = [ acc ] }
-
-let exec_join_right net n ti (flag : Task.flag) w =
-  let kh = khash_right n w in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let matches = ref [] in
-  let scanned = ref 0 in
-  let live =
-    with_line net ~line (fun () ->
-        let live =
-          match flag with
-          | Task.Add -> Memory.right_add net.mem ~node:n.id ~khash:kh (Memory.R_wme w)
-          | Task.Delete -> Memory.right_remove net.mem ~node:n.id ~khash:kh (Memory.R_wme w)
-        in
-        if live then
-          scanned :=
-            Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if jtests_hold ti e.Memory.l_token w then matches := e.Memory.l_token :: !matches);
-        live)
-  in
-  if not live then { no_children with accesses = [ acc ] }
-  else
-    let tokens = List.rev_map (fun tok -> Token.extend tok w) !matches in
-    { children = emit_all n flag tokens; scanned = !scanned; matched = List.length tokens;
-      insts = []; accesses = [ acc ] }
-
-(* --- negative ------------------------------------------------------- *)
-
-let exec_neg_left net n ti (flag : Task.flag) token =
-  let kh = khash_left n token in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let pass = ref false in
-  let scanned = ref 0 in
-  with_line net ~line (fun () ->
-      match flag with
-      | Task.Add ->
-        let count = ref 0 in
-        scanned :=
-          Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
-              match payload with
-              | Memory.R_wme w -> if jtests_hold ti token w then incr count
-              | Memory.R_tok _ -> ());
-        (match Memory.left_add net.mem ~node:n.id ~khash:kh token ~count:!count with
-        | `Activated _ -> pass := !count = 0
-        | `Inert -> ())
-      | Task.Delete -> (
-        match Memory.left_remove net.mem ~node:n.id ~khash:kh token with
-        | `Deactivated e -> pass := e.Memory.l_count = 0
-        | `Inert -> ()));
-  if !pass then
-    { children = emit n flag token; scanned = !scanned; matched = 1; insts = [];
-      accesses = [ acc ] }
-  else { no_children with scanned = !scanned; accesses = [ acc ] }
-
-let exec_neg_right net n ti (flag : Task.flag) w =
-  let kh = khash_right n w in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let transitions = ref [] in
-  let scanned = ref 0 in
-  with_line net ~line (fun () ->
-      match flag with
-      | Task.Add ->
-        if Memory.right_add net.mem ~node:n.id ~khash:kh (Memory.R_wme w) then
-          scanned :=
-            Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if jtests_hold ti e.Memory.l_token w then begin
-                  e.Memory.l_count <- e.Memory.l_count + 1;
-                  if e.Memory.l_count = 1 then
-                    transitions := (Task.Delete, e.Memory.l_token) :: !transitions
-                end)
-      | Task.Delete ->
-        if Memory.right_remove net.mem ~node:n.id ~khash:kh (Memory.R_wme w) then
-          scanned :=
-            Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if jtests_hold ti e.Memory.l_token w then begin
-                  e.Memory.l_count <- e.Memory.l_count - 1;
-                  if e.Memory.l_count = 0 then
-                    transitions := (Task.Add, e.Memory.l_token) :: !transitions
-                end));
-  let transitions = List.rev !transitions in
-  { children = Program.emit_transitions n transitions; scanned = !scanned;
-    matched = List.length transitions; insts = []; accesses = [ acc ] }
-
-(* --- NCC ------------------------------------------------------------- *)
-
-let exec_ncc_left net n prefix_len (flag : Task.flag) token =
-  ignore prefix_len;
-  let kh = khash_ncc_left n token in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let pass = ref false in
-  let scanned = ref 0 in
-  with_line net ~line (fun () ->
-      match flag with
-      | Task.Add ->
-        let count = ref 0 in
-        scanned :=
-          Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
-              match payload with
-              | Memory.R_tok sub ->
-                if Token.equal (Token.prefix sub (Token.length token)) token then incr count
-              | Memory.R_wme _ -> ());
-        (match Memory.left_add net.mem ~node:n.id ~khash:kh token ~count:!count with
-        | `Activated _ -> pass := !count = 0
-        | `Inert -> ())
-      | Task.Delete -> (
-        match Memory.left_remove net.mem ~node:n.id ~khash:kh token with
-        | `Deactivated e -> pass := e.Memory.l_count = 0
-        | `Inert -> ()));
-  if !pass then
-    { children = emit n flag token; scanned = !scanned; matched = 1; insts = [];
-      accesses = [ acc ] }
-  else { no_children with scanned = !scanned; accesses = [ acc ] }
-
-let exec_ncc_partner net n ~ncc ~prefix_len (flag : Task.flag) subtok =
-  let ncc_node = node net ncc in
-  let prefix = Token.prefix subtok prefix_len in
-  let kh = khash_ncc_right n subtok in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:ncc ~line in
-  let transitions = ref [] in
-  let scanned = ref 0 in
-  with_line net ~line (fun () ->
-      match flag with
-      | Task.Add ->
-        if Memory.right_add net.mem ~node:ncc ~khash:kh (Memory.R_tok subtok) then
-          scanned :=
-            Memory.left_iter net.mem ~node:ncc ~khash:kh (fun e ->
-                if Token.equal e.Memory.l_token prefix then begin
-                  e.Memory.l_count <- e.Memory.l_count + 1;
-                  if e.Memory.l_count = 1 then
-                    transitions := (Task.Delete, e.Memory.l_token) :: !transitions
-                end)
-      | Task.Delete ->
-        if Memory.right_remove net.mem ~node:ncc ~khash:kh (Memory.R_tok subtok) then
-          scanned :=
-            Memory.left_iter net.mem ~node:ncc ~khash:kh (fun e ->
-                if Token.equal e.Memory.l_token prefix then begin
-                  e.Memory.l_count <- e.Memory.l_count - 1;
-                  if e.Memory.l_count = 0 then
-                    transitions := (Task.Add, e.Memory.l_token) :: !transitions
-                end));
-  let transitions = List.rev !transitions in
-  { children = Program.emit_transitions ncc_node transitions; scanned = !scanned;
-    matched = List.length transitions; insts = []; accesses = [ acc ] }
-
-(* --- binary join (bilinear networks) --------------------------------- *)
-
-let exec_bjoin_left net n bi (flag : Task.flag) token =
-  let kh = khash_bjoin_left n token in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let matches = ref [] in
-  let scanned = ref 0 in
-  let live =
-    with_line net ~line (fun () ->
-        let live =
-          match flag with
-          | Task.Add -> (
-            match Memory.left_add net.mem ~node:n.id ~khash:kh token ~count:0 with
-            | `Activated _ -> true
-            | `Inert -> false)
-          | Task.Delete -> (
-            match Memory.left_remove net.mem ~node:n.id ~khash:kh token with
-            | `Deactivated _ -> true
-            | `Inert -> false)
-        in
-        if live then
-          scanned :=
-            Memory.right_iter net.mem ~node:n.id ~khash:kh (fun payload ->
-                match payload with
-                | Memory.R_tok rt -> if btests_hold bi token rt then matches := rt :: !matches
-                | Memory.R_wme _ -> ());
-        live)
-  in
-  if not live then { no_children with accesses = [ acc ] }
-  else
-    let tokens =
-      List.rev_map (fun rt -> Token.concat token (Token.suffix rt bi.right_drop)) !matches
-    in
-    { children = emit_all n flag tokens; scanned = !scanned; matched = List.length tokens;
-      insts = []; accesses = [ acc ] }
-
-let exec_bjoin_right net n bi (flag : Task.flag) rtok =
-  let kh = khash_bjoin_right n rtok in
-  let line = Memory.line_of net.mem ~khash:kh in
-  let acc = access ~node:n.id ~line in
-  let matches = ref [] in
-  let scanned = ref 0 in
-  let live =
-    with_line net ~line (fun () ->
-        let live =
-          match flag with
-          | Task.Add -> Memory.right_add net.mem ~node:n.id ~khash:kh (Memory.R_tok rtok)
-          | Task.Delete -> Memory.right_remove net.mem ~node:n.id ~khash:kh (Memory.R_tok rtok)
-        in
-        if live then
-          scanned :=
-            Memory.left_iter net.mem ~node:n.id ~khash:kh (fun e ->
-                if btests_hold bi e.Memory.l_token rtok then
-                  matches := e.Memory.l_token :: !matches);
-        live)
-  in
-  if not live then { no_children with accesses = [ acc ] }
-  else
-    let tokens =
-      List.rev_map (fun lt -> Token.concat lt (Token.suffix rtok bi.right_drop)) !matches
-    in
-    { children = emit_all n flag tokens; scanned = !scanned; matched = List.length tokens;
-      insts = []; accesses = [ acc ] }
-
-(* --- P-node ----------------------------------------------------------- *)
-
-let exec_pnode net _n pi (flag : Task.flag) token =
-  let inst_token =
-    match pi.perm with None -> token | Some perm -> Token.permute token perm
-  in
-  let inst =
-    { Conflict_set.prod = pi.production.Production.name; token = inst_token }
-  in
-  (match flag with
-  | Task.Add -> Conflict_set.add net.cs inst
-  | Task.Delete -> Conflict_set.remove net.cs inst);
-  { no_children with matched = 1; insts = [ (flag, inst) ] }
-
-(* --- dispatch ---------------------------------------------------------- *)
 
 (* Process-wide activation counters, shared by all engines (the
    observability layer's registry). Atomic, so the real parallel
@@ -327,57 +34,15 @@ let m_children = Psme_obs.Metrics.counter Psme_obs.Metrics.global "rete.runtime.
 let m_alpha =
   Psme_obs.Metrics.counter Psme_obs.Metrics.global "rete.runtime.alpha_activations"
 
-let exec_dispatch net task =
-  match task with
-  | Task.Right { node = nid; flag; wme } -> (
-    match Hashtbl.find_opt net.beta nid with
-    | None -> no_children  (* node excised while the task was queued *)
-    | Some n -> (
-      match n.kind with
-      | Entry -> exec_entry net n flag wme
-      | Join ti -> exec_join_right net n ti flag wme
-      | Neg ti -> exec_neg_right net n ti flag wme
-      | Ncc _ | Ncc_partner _ | Bjoin _ | Pnode _ ->
-        invalid_arg "Runtime.exec: wme delivered to a token-only node"))
-  | Task.Left { node = nid; flag; token } -> (
-    match Hashtbl.find_opt net.beta nid with
-    | None -> no_children
-    | Some n -> (
-      match n.kind with
-      | Join ti -> exec_join_left net n ti flag token
-      | Neg ti -> exec_neg_left net n ti flag token
-      | Ncc { prefix_len } -> exec_ncc_left net n prefix_len flag token
-      | Bjoin bi -> exec_bjoin_left net n bi flag token
-      | Pnode pi -> exec_pnode net n pi flag token
-      | Entry | Ncc_partner _ ->
-        invalid_arg "Runtime.exec: left token delivered to a right-only node"))
-  | Task.Rtok { node = nid; flag; token } -> (
-    match Hashtbl.find_opt net.beta nid with
-    | None -> no_children
-    | Some n -> (
-      match n.kind with
-      | Ncc_partner { ncc; prefix_len } -> exec_ncc_partner net n ~ncc ~prefix_len flag token
-      | Bjoin bi -> exec_bjoin_right net n bi flag token
-      | Entry | Join _ | Neg _ | Ncc _ | Pnode _ ->
-        invalid_arg "Runtime.exec: right token delivered to a non-binary node"))
-
-(* The jumptable dispatch (§5.1): a compiled program, when installed,
-   handles the task; never-compiled or excised nodes fall back to the
-   interpreter (whose beta lookup also absorbs tasks queued to excised
-   nodes). *)
+(* The jumptable dispatch (§5.1): every live node has a compiled
+   program; a task whose node was excised while it sat in a queue finds
+   an empty slot and is absorbed. *)
 let exec net task =
   let o =
     match Program.find net (Task.node task) with
     | Some p -> Program.run p task
-    | None -> exec_dispatch net task
+    | None -> Program.no_children
   in
-  Psme_obs.Metrics.incr m_tasks;
-  Psme_obs.Metrics.add m_scanned o.scanned;
-  Psme_obs.Metrics.add m_children (Array.length o.children);
-  o
-
-let exec_interpreted net task =
-  let o = exec_dispatch net task in
   Psme_obs.Metrics.incr m_tasks;
   Psme_obs.Metrics.add m_scanned o.scanned;
   Psme_obs.Metrics.add m_children (Array.length o.children);
@@ -397,69 +62,3 @@ let seed_wme_change ?(min_node_id = 0) net flag w =
   in
   Psme_obs.Metrics.add m_alpha activations;
   (List.rev !tasks, activations)
-
-(* --- replay (update phase, §5.2) ----------------------------------------- *)
-
-let to_port ~child ~port flag token =
-  match port with
-  | P_left -> Task.Left { node = child; flag; token }
-  | P_right -> Task.Rtok { node = child; flag; token }
-
-let replay_parent net ~parent ~child ~port =
-  let out = ref [] in
-  let push tok = out := to_port ~child ~port Task.Add tok :: !out in
-  (match parent.kind with
-  | Entry ->
-    Memory.iter_node_right net.mem ~node:parent.id (fun payload ->
-        match payload with
-        | Memory.R_wme w -> push (Token.singleton w)
-        | Memory.R_tok _ -> ())
-  | Join ti ->
-    (* Recompute the join of the node's stored left and right state. *)
-    let lefts = ref [] in
-    Memory.iter_node_left net.mem ~node:parent.id (fun e -> lefts := e.Memory.l_token :: !lefts);
-    List.iter
-      (fun tok ->
-        let kh = khash_left parent tok in
-        let line = Memory.line_of net.mem ~khash:kh in
-        Memory.locked net.mem ~line (fun () ->
-            ignore
-              (Memory.right_iter net.mem ~node:parent.id ~khash:kh (fun payload ->
-                   match payload with
-                   | Memory.R_wme w ->
-                     if jtests_hold ti tok w then push (Token.extend tok w)
-                   | Memory.R_tok _ -> ()))))
-      !lefts
-  | Neg _ | Ncc _ ->
-    Memory.iter_node_left net.mem ~node:parent.id (fun e ->
-        if e.Memory.l_count = 0 then push e.Memory.l_token)
-  | Bjoin bi ->
-    let lefts = ref [] in
-    Memory.iter_node_left net.mem ~node:parent.id (fun e -> lefts := e.Memory.l_token :: !lefts);
-    List.iter
-      (fun tok ->
-        let kh = khash_bjoin_left parent tok in
-        let line = Memory.line_of net.mem ~khash:kh in
-        Memory.locked net.mem ~line (fun () ->
-            ignore
-              (Memory.right_iter net.mem ~node:parent.id ~khash:kh (fun payload ->
-                   match payload with
-                   | Memory.R_tok rt ->
-                     if btests_hold bi tok rt then
-                       push (Token.concat tok (Token.suffix rt bi.right_drop))
-                   | Memory.R_wme _ -> ()))))
-      !lefts
-  | Ncc_partner _ | Pnode _ ->
-    invalid_arg "Runtime.replay_parent: node kind stores no replayable output");
-  List.rev !out
-
-let excess_cross_products net =
-  let total = ref 0 in
-  Hashtbl.iter
-    (fun _ n ->
-      match n.kind with
-      | Bjoin _ ->
-        Memory.iter_node_left net.mem ~node:n.id (fun _ -> incr total)
-      | _ -> ())
-    net.beta;
-  !total

@@ -8,10 +8,9 @@
     {!Memory}). Thread-safe: any number of match processes may call
     [exec] concurrently.
 
-    Two execution paths produce bit-identical outcomes: the closure
-    compiler ({!Program}, the PSM-E machine-code analogue, selected by
-    [Network.config.compiled]) and the interpreter below, retained as
-    the differential oracle. *)
+    Every activation runs through the node's closure-compiled program
+    ({!Program}, the PSM-E machine-code analogue): the jumptable is the
+    only dispatch path. *)
 
 open Psme_ops5
 
@@ -40,18 +39,14 @@ type outcome = Program.outcome = {
 }
 
 val exec : Network.t -> Task.t -> outcome
-(** Dispatches through the compiled node program when one is installed
-    (the §5.1 jumptable), falling back to the interpreter otherwise. *)
-
-val exec_interpreted : Network.t -> Task.t -> outcome
-(** Force the interpreter path regardless of installed programs — the
-    oracle side of differential tests. *)
+(** Dispatches through the node's compiled program (the §5.1
+    jumptable). A task addressed to a node excised while it was queued
+    finds no program and is absorbed with no effect. *)
 
 val set_lock_elision : bool -> unit
 (** Fault injection for the race detector's self-test: when enabled, exec
     critical sections skip the line lock and report their accesses with
-    [acc_locked = false]. Process-wide; reset to [false] after use.
-    Shared with the compiled path. *)
+    [acc_locked = false]. Process-wide; reset to [false] after use. *)
 
 val lock_elision : unit -> bool
 
@@ -61,13 +56,3 @@ val seed_wme_change :
     the right activations it produces, plus the number of constant-test
     node activations performed. [min_node_id] filters deliveries to
     nodes with at least that ID — the §5.2 update filter. *)
-
-val replay_parent :
-  Network.t -> parent:Network.node -> child:int -> port:Network.port -> Task.t list
-(** "Specially execute" an existing node: recompute its stored output
-    tokens from its memory state and address them to exactly one (new)
-    successor — the last-shared-node step of the §5.2 update. *)
-
-val excess_cross_products : Network.t -> int
-(** Diagnostic: total left-store entries across Bjoin nodes (state kept
-    by bilinear networks beyond what a linear network stores). *)

@@ -24,7 +24,7 @@ let batch_tasks net wm ~first_new ~new_nodes =
           in
           tasks :=
             List.rev_append
-              (Runtime.replay_parent net ~parent ~child:nid ~port)
+              (Program.replay_parent net ~parent ~child:nid ~port)
               !tasks
         | Some _ | None -> ())
       new_nodes;

@@ -318,12 +318,12 @@ let prop_subsumption_runtime =
     (fun (srcs, history) ->
       let schema = blocks_schema () in
       let net = Network.create schema in
-      ignore (Test_check.try_build net schema srcs);
+      ignore (Test_props.try_build net schema srcs);
       let prods =
         List.map (fun pm -> pm.Network.meta_production) (Network.productions net)
       in
       let wm = Wm.create () in
-      let batches = Test_check.realize_history_wm wm history in
+      let batches = Test_props.realize wm history in
       List.iter (fun b -> ignore (Serial.run_changes net b)) batches;
       let fired p = insts net (Sym.name p.Production.name) <> [] in
       List.for_all
@@ -421,6 +421,46 @@ let test_reorder_differential () =
     "identical after a retraction" (cs_snapshot plain) (cs_snapshot reordered);
   Alcotest.(check bool) "the retraction re-admitted the negation" true
     (List.exists (fun (n, _) -> n = "stray") (cs_snapshot plain))
+
+(* Written-order semantics: a variable a negation mentions before the CE
+   that binds it is local to the negation, so [-(slot ^holds <n>)] here
+   means "no slot holds anything". Placing the negation after the item
+   CE would join on <n> instead; the reordered build keeps such a
+   production linear, and both builds agree with the naive oracle. *)
+let test_reorder_keeps_negation_locals () =
+  let schema = sched_schema () in
+  let p =
+    parse schema
+      "(p late (order ^task audit) -(slot ^holds <n>) (item ^name <n> ^kind crate ^size 3) \
+       --> (write ok))"
+  in
+  Alcotest.(check bool) "the negation mentions <n> before its binding" true
+    (Production.negates_before_binding p);
+  Alcotest.(check bool) "not reorderable" false (Jcost.reorderable p);
+  List.iter
+    (fun (build, config) ->
+      let net = Network.create ~config schema in
+      ignore (Build.add_production net p);
+      let wm = Wm.create () in
+      let s = Value.sym in
+      let wmes =
+        [
+          sched_wme wm "item" [ s "a"; s "crate"; Value.Int 3 ];
+          sched_wme wm "item" [ s "b"; s "crate"; Value.Int 3 ];
+          sched_wme wm "slot" [ s "s1"; s "a" ];
+          sched_wme wm "order" [ s "audit"; s "d" ];
+        ]
+      in
+      ignore (Serial.run_changes net (Test_check.adds wmes));
+      Alcotest.(check (list (pair string (list int))))
+        (build ^ ": a slot holds something, so nothing matches") [] (cs_snapshot net);
+      Alcotest.(check (list (pair string (list int))))
+        (build ^ " = oracle")
+        (Test_props.oracle_cs net wm) (cs_snapshot net))
+    [
+      ("linear", Network.default_config);
+      ("reordered", { Network.default_config with Network.reorder_joins = true });
+    ]
 
 (* --- codesize accounting after excise ------------------------------------------- *)
 
@@ -566,6 +606,8 @@ let suite =
       test_dead_node_injection;
     Alcotest.test_case "subsumption: runtime inclusion (deterministic)" `Quick
       test_subsumed_runtime_inclusion;
+    Alcotest.test_case "reorder: negation locals stay local" `Quick
+      test_reorder_keeps_negation_locals;
     Alcotest.test_case "reorder: conflict set is order-blind" `Quick
       test_reorder_differential;
     Alcotest.test_case "codesize: excise drops shared accounting" `Quick

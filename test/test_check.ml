@@ -77,6 +77,28 @@ let test_structure_lost_pnode () =
   let r = Verify.structure net in
   Alcotest.(check bool) "lost P-node detected" true (Finding.errors r > 0)
 
+(* The jumptable is the only dispatch path: a live node whose program is
+   gone would absorb its tasks silently, and a program that outlives its
+   node is stale. *)
+let test_structure_jumptable () =
+  let schema = blocks_schema () in
+  let net = build_net schema base_prods in
+  let jumptable r =
+    List.filter_map
+      (fun f -> if f.Finding.rule = "jumptable" then Some f.Finding.subject else None)
+      r.Finding.findings
+  in
+  let pm = List.hd (Network.productions net) in
+  Program.clear_node net pm.Network.pnode;
+  Alcotest.(check (list string)) "live node without a program"
+    [ Printf.sprintf "node %d" pm.Network.pnode ]
+    (jumptable (Verify.structure net));
+  let net = build_net schema base_prods in
+  let pm = List.hd (Network.productions net) in
+  Hashtbl.remove net.Network.beta pm.Network.pnode;
+  Alcotest.(check (list string)) "program slot outliving its node" [ "network" ]
+    (jumptable (Verify.structure net))
+
 (* --- state verifier ---------------------------------------------------------- *)
 
 let test_state_clean () =
@@ -203,54 +225,6 @@ let test_update_fully_shared_chunk () =
 
 (* --- state verifier as a property (satellite: random chunk batches) ---------- *)
 
-(* realize a Test_props history against a Wm, so live wmes and the
-   verifier's rebuild seed share timetags *)
-let realize_history_wm wm batches =
-  let added = ref [||] in
-  let deleted = Hashtbl.create 16 in
-  List.map
-    (fun batch ->
-      let changes = ref [] in
-      List.iter
-        (fun op ->
-          match op with
-          | Test_props.Add_block (n, c, s) ->
-            let cls = Sym.intern "block" in
-            let fields = Array.make 4 Value.nil in
-            fields.(0) <- Value.sym n;
-            fields.(1) <- Value.sym c;
-            fields.(3) <- Value.Int s;
-            let w = Wm.add wm ~cls ~fields in
-            added := Array.append !added [| w |];
-            changes := (Task.Add, w) :: !changes
-          | Test_props.Del i ->
-            let n = Array.length !added in
-            if n > 0 then begin
-              let w = !added.(i mod n) in
-              if
-                (not (Hashtbl.mem deleted w.Wme.timetag))
-                && not (List.exists (fun (_, x) -> Wme.equal x w) !changes)
-              then begin
-                Hashtbl.replace deleted w.Wme.timetag ();
-                Wm.remove wm w;
-                changes := (Task.Delete, w) :: !changes
-              end
-            end)
-        batch;
-      List.rev !changes)
-    batches
-
-let try_build net schema srcs =
-  (* random productions may collide on name or be rejected; skip those *)
-  List.filter_map
-    (fun src ->
-      match parse schema src with
-      | p -> (
-        try Some (Build.add_production net p) with
-        | Invalid_argument _ | Build.Build_error _ -> None)
-      | exception _ -> None)
-    srcs
-
 let prop_update_state_verified engine_name run =
   QCheck.Test.make ~count:40
     ~name:
@@ -260,12 +234,12 @@ let prop_update_state_verified engine_name run =
     (fun (early, (late, history)) ->
       let schema = blocks_schema () in
       let net = Network.create schema in
-      ignore (try_build net schema early);
+      ignore (Test_props.try_build net schema early);
       let wm = Wm.create () in
-      let batches = realize_history_wm wm history in
+      let batches = Test_props.realize wm history in
       List.iter (fun b -> run net b) batches;
       (* the chunk batch arrives at quiescence, §5.2-style *)
-      let results = try_build net schema late in
+      let results = Test_props.try_build net schema late in
       let tasks = Update.update_tasks_batch net wm results in
       ignore (Serial.run_tasks net tasks);
       let r = Verify.full net (Wm.to_list wm) in
@@ -494,6 +468,7 @@ let suite =
     Alcotest.test_case "verify: dangling successor" `Quick
       test_structure_dangling_successor;
     Alcotest.test_case "verify: lost pnode" `Quick test_structure_lost_pnode;
+    Alcotest.test_case "verify: jumptable" `Quick test_structure_jumptable;
     Alcotest.test_case "verify: state clean" `Quick test_state_clean;
     Alcotest.test_case "verify: state clean after update" `Quick
       test_state_clean_after_update;

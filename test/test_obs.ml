@@ -109,7 +109,7 @@ let test_trace_ring () =
 
 let procs = 4
 
-let traced_run ?(changes = 30) ?(compiled = true) () =
+let traced_run ?(changes = 30) () =
   let schema = Fixtures.schema_with () in
   let prods =
     Fixtures.parse_prods schema
@@ -122,9 +122,7 @@ let traced_run ?(changes = 30) ?(compiled = true) () =
   (make place ^name <x>))
 |})
   in
-  let net =
-    Network.create ~config:{ Network.default_config with Network.compiled } schema
-  in
+  let net = Network.create schema in
   ignore (Build.add_all net prods);
   let tracer = Trace.create () in
   let engine =
@@ -494,31 +492,6 @@ let test_chrome_trace_sorted_metadata () =
       counters
   | Ok _ -> Alcotest.fail "chrome trace is not a traceEvents object"
 
-(* --- critical path on the compiled match path ------------------------------ *)
-
-(* Satellite: the spawn-DAG reconstruction does not depend on the
-   dispatch mechanism — closure-compiled node programs and the
-   interpreted path produce the same per-cycle chains. *)
-let test_critical_path_compiled_matches_interpreted () =
-  let report compiled =
-    let _, _, tracer = traced_run ~compiled () in
-    Critical_path.per_cycle (Trace.events tracer)
-  in
-  let compiled = report true and interpreted = report false in
-  Alcotest.(check int) "same cycle count" (List.length interpreted)
-    (List.length compiled);
-  List.iter2
-    (fun (a : Critical_path.cycle_report) (b : Critical_path.cycle_report) ->
-      Alcotest.(check int) "same cycle" a.Critical_path.cp_cycle
-        b.Critical_path.cp_cycle;
-      Alcotest.(check int) "same chain length" a.Critical_path.cp_len
-        b.Critical_path.cp_len;
-      Alcotest.(check (float 1e-6)) "same chain cost" a.Critical_path.cp_us
-        b.Critical_path.cp_us;
-      Alcotest.(check (float 1e-6)) "same serial cost"
-        a.Critical_path.cp_serial_us b.Critical_path.cp_serial_us)
-    interpreted compiled
-
 let suite =
   [
     Alcotest.test_case "json writer" `Quick test_json_writer;
@@ -534,8 +507,6 @@ let suite =
     Alcotest.test_case "attribution json contract" `Quick test_attribution_json_contract;
     Alcotest.test_case "chrome trace sorted + metadata" `Quick
       test_chrome_trace_sorted_metadata;
-    Alcotest.test_case "critical path: compiled = interpreted" `Quick
-      test_critical_path_compiled_matches_interpreted;
     Alcotest.test_case "attribution invariant: strips" `Slow
       (attribution_workload_case Psme_workloads.Strips.workload);
     Alcotest.test_case "attribution invariant: cypress" `Slow

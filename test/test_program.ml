@@ -1,15 +1,13 @@
-(* PR 5: closure-compiled node programs. The compiled path (PSM-E's
-   "machine code" analogue, PAPER §4) must be bit-identical to the
-   interpreter it replaces: same conflict sets, same measured counts
-   (tasks, alpha activations, scanned, emitted), same verifier silence —
-   on random production sets, random wme histories, and chunk batches
-   spliced in at run time (§5.1). *)
+(* Closure-compiled node programs (PSM-E's "machine code" analogue,
+   PAPER §4) and their jumptable (§5.1): chunks spliced mid-run get
+   programs in place, and excise clears them. Conflict-set correctness
+   of the programs is property-tested against the naive oracle in
+   test_props. *)
 
 open Psme_support
 open Psme_ops5
 open Psme_rete
 open Psme_engine
-open Psme_check
 
 let blocks_schema () =
   let schema = Schema.create () in
@@ -18,129 +16,6 @@ let blocks_schema () =
 
 let parse schema src = Parser.parse_production schema src
 
-let net_with ~compiled schema =
-  Network.create ~config:{ Network.default_config with Network.compiled } schema
-
-(* --- fingerprints ------------------------------------------------------ *)
-
-let token_tags t =
-  List.init (Token.length t) (fun i -> (Token.wme t i).Wme.timetag)
-
-let cs_fingerprint net =
-  Conflict_set.to_list net.Network.cs
-  |> List.map (fun i -> (Sym.name i.Conflict_set.prod, token_tags i.Conflict_set.token))
-  |> List.sort compare
-
-let stats_fingerprint (s : Cycle.stats) =
-  (s.Cycle.tasks, s.Cycle.alpha_activations, s.Cycle.scanned, s.Cycle.emitted)
-
-(* --- differential property: compiled vs interpreted -------------------- *)
-
-(* The same random early productions, wme history and late (chunk) batch
-   drive two networks differing only in [config.compiled]. Every batch
-   must produce the same golden counts, and the end state the same
-   conflict set with a silent verifier on both. *)
-let prop_differential engine_name run =
-  QCheck.Test.make ~count:30
-    ~name:
-      (Printf.sprintf "compiled = interpreted on random chunk batches (%s)"
-         engine_name)
-    (QCheck.pair Test_props.arb_productions
-       (QCheck.pair Test_props.arb_productions Test_props.arb_history))
-    (fun (early, (late, history)) ->
-      let schema = blocks_schema () in
-      let netc = net_with ~compiled:true schema in
-      let neti = net_with ~compiled:false schema in
-      ignore (Test_check.try_build netc schema early);
-      ignore (Test_check.try_build neti schema early);
-      let wm = Wm.create () in
-      let batches = Test_check.realize_history_wm wm history in
-      List.iter
-        (fun b ->
-          let sc = run netc b and si = run neti b in
-          if stats_fingerprint sc <> stats_fingerprint si then
-            QCheck.Test.fail_reportf
-              "batch counts diverge: compiled %s vs interpreted %s"
-              (let a, b, c, d = stats_fingerprint sc in
-               Printf.sprintf "(%d,%d,%d,%d)" a b c d)
-              (let a, b, c, d = stats_fingerprint si in
-               Printf.sprintf "(%d,%d,%d,%d)" a b c d))
-        batches;
-      (* the chunk batch arrives at quiescence, §5.2-style, and executes
-         through the freshly spliced jumptable slots on the compiled net *)
-      let rc = Test_check.try_build netc schema late in
-      let ri = Test_check.try_build neti schema late in
-      if List.length rc <> List.length ri then
-        QCheck.Test.fail_reportf "chunk builds diverge: %d vs %d"
-          (List.length rc) (List.length ri);
-      let tc = Update.update_tasks_batch netc wm rc in
-      let ti = Update.update_tasks_batch neti wm ri in
-      let sc = Serial.run_tasks netc tc and si = Serial.run_tasks neti ti in
-      if stats_fingerprint sc <> stats_fingerprint si then
-        QCheck.Test.fail_reportf "chunk-splice counts diverge";
-      if cs_fingerprint netc <> cs_fingerprint neti then
-        QCheck.Test.fail_reportf "conflict sets diverge after chunk splice";
-      let live = Wm.to_list wm in
-      let vc = Verify.state netc live and vi = Verify.state neti live in
-      if List.length vc.Finding.findings > 0 then
-        QCheck.Test.fail_reportf "compiled net fails verifier:@ %a" Finding.pp vc;
-      if List.length vi.Finding.findings > 0 then
-        QCheck.Test.fail_reportf "interpreted net fails verifier:@ %a" Finding.pp
-          vi;
-      true)
-
-let prop_differential_serial =
-  prop_differential "serial" (fun net b -> Serial.run_changes net b)
-
-let prop_differential_sim =
-  let cfg = { Sim.procs = 5; queues = Parallel.Multiple_queues; collect_trace = false } in
-  prop_differential "sim" (fun net b -> Sim.run_changes cfg net b)
-
-(* --- exec_interpreted as the oracle on one network --------------------- *)
-
-(* One network, compiled on: [Runtime.exec_interpreted] must agree with
-   the compiled [Runtime.exec] outcome for the same task, including on a
-   production whose residual uses an ordered relation (the comparator
-   fallback path — eq/ne chains take the direct-call specialization). *)
-let test_exec_oracle () =
-  let schema = blocks_schema () in
-  let build src =
-    let net = net_with ~compiled:true schema in
-    ignore (Build.add_production net (parse schema src));
-    net
-  in
-  let srcs =
-    [
-      "(p eqne (block ^name <x> ^color <c>) (block ^on <x> ^color <> <c>) --> (write a))";
-      "(p ord (block ^name <x> ^state <s>) (block ^on <x> ^state > <s>) --> (write b))";
-    ]
-  in
-  List.iter
-    (fun src ->
-      let netc = build src and neti = build src in
-      let mk wm name color on state =
-        let fields = Array.make 4 Value.nil in
-        fields.(0) <- Value.sym name;
-        fields.(1) <- Value.sym color;
-        fields.(2) <- Value.sym on;
-        fields.(3) <- Value.int state;
-        Wm.add wm ~cls:(Sym.intern "block") ~fields
-      in
-      let wm = Wm.create () in
-      let ws =
-        [
-          mk wm "a" "red" "t" 1; mk wm "b" "blue" "a" 2; mk wm "c" "red" "a" 0;
-          mk wm "a2" "red" "b" 3;
-        ]
-      in
-      let changes = List.map (fun w -> (Task.Add, w)) ws in
-      ignore (Serial.run_changes netc changes);
-      (* drive the oracle net through exec_interpreted via config *)
-      ignore (Serial.run_changes neti changes);
-      Alcotest.(check (list (pair string (list int))))
-        ("same conflict set: " ^ src) (cs_fingerprint neti) (cs_fingerprint netc))
-    srcs
-
 (* --- the jumptable grows in place (§5.1) -------------------------------- *)
 
 (* Chunks spliced mid-run must execute compiled without a network
@@ -148,7 +23,7 @@ let test_exec_oracle () =
    and the new production's nodes get entries immediately. *)
 let test_jumptable_grows_in_place () =
   let schema = blocks_schema () in
-  let net = net_with ~compiled:true schema in
+  let net = Network.create schema in
   ignore
     (Build.add_production net
        (parse schema "(p base (block ^name <x> ^color red) --> (write base))"));
@@ -171,7 +46,7 @@ let test_jumptable_grows_in_place () =
   let w1 = mk "a" "red" "t" in
   ignore (Serial.run_changes net [ (Task.Add, w1) ]);
   Alcotest.(check (list (pair string (list int))))
-    "base matched" [ ("base", [ w1.Wme.timetag ]) ] (cs_fingerprint net);
+    "base matched" [ ("base", [ w1.Wme.timetag ]) ] (Test_props.rete_cs net);
   (* splice enough chunks to force the slot array past its initial
      capacity; the table record itself must never be replaced *)
   let cap1 = Program.table_capacity t1 in
@@ -202,7 +77,7 @@ let test_jumptable_grows_in_place () =
   let w2 = mk "b" "c1" "t" in
   let w3 = mk "x" "blue" "b" in
   ignore (Serial.run_changes net [ (Task.Add, w2); (Task.Add, w3) ]);
-  let cs = cs_fingerprint net in
+  let cs = Test_props.rete_cs net in
   Alcotest.(check bool)
     "spliced chunk fired" true
     (List.exists (fun (p, _) -> p = "chunk-1") cs)
@@ -211,7 +86,7 @@ let test_jumptable_grows_in_place () =
 
 let test_excise_clears_programs () =
   let schema = blocks_schema () in
-  let net = net_with ~compiled:true schema in
+  let net = Network.create schema in
   ignore
     (Build.add_production net
        (parse schema "(p doomed (block ^name <x>) (block ^on <x>) --> (write d))"));
@@ -223,10 +98,6 @@ let test_excise_clears_programs () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_differential_serial;
-    QCheck_alcotest.to_alcotest prop_differential_sim;
-    Alcotest.test_case "compiled exec agrees with interpreter oracle" `Quick
-      test_exec_oracle;
     Alcotest.test_case "jumptable grows in place on chunk splice" `Quick
       test_jumptable_grows_in_place;
     Alcotest.test_case "excise clears compiled programs" `Quick

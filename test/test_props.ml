@@ -12,39 +12,149 @@ open Psme_engine
 let colors = [ "red"; "blue"; "green" ]
 let names = [ "a"; "b"; "c"; "d" ]
 
-(* A random production over the blocks schema: 1-3 positive CEs with a
-   mix of constant, variable and predicate tests, optionally a negated
-   CE, RHS is a write. Always valid by construction. *)
-let gen_production =
+(* The blocks schema's fields in field order, with the constants and
+   variables a generated test draws from. Block names double as ^on
+   values, so name and on variables join across CEs; the states mix
+   ints with a float, so ordered joins meet numeric coercion. *)
+type field = { fname : string; consts : string list; vars : string list }
+
+let fields =
+  [
+    { fname = "name"; consts = names; vars = [ "x"; "y" ] };
+    { fname = "color"; consts = colors; vars = [ "c" ] };
+    { fname = "on"; consts = "nil" :: names; vars = [ "x"; "y"; "z" ] };
+    { fname = "state"; consts = [ "0"; "1"; "2"; "1.5" ]; vars = [ "s"; "t" ] };
+  ]
+
+let all_vars = [ "x"; "y"; "z"; "c"; "s"; "t" ]
+let rels = [ "<>"; "<"; "<="; ">"; ">=" ]
+
+(* One field's test as (source, variables it binds, whether it narrows
+   the field to a few values). [bindable]: variables the CE may mention
+   bare (binding them when unbound); [known]: variables bound before the
+   test runs, which predicates may compare against, with a relation
+   from [rels]. [wide] prefers join tests, stacking a conjunction on the
+   state field, so a CE carries up to five of them. [narrow] forces a
+   narrowing test. *)
+let gen_test ~bindable ~known ~rels ~wide ~narrow f =
   let open QCheck.Gen in
-  let gen_const_test =
-    oneof
+  let bind_vars = List.filter (fun v -> List.mem v bindable) f.vars in
+  let known_vars = List.filter (fun v -> List.mem v known) f.vars in
+  let var vs = map (fun v -> (Printf.sprintf "<%s>" v, [ v ], true)) (oneofl vs) in
+  let pred =
+    let* r = oneofl rels in
+    let* v = oneofl known_vars in
+    return (Printf.sprintf "%s <%s>" r v, [], false)
+  in
+  let const = map (fun c -> (c, [], true)) (oneofl f.consts) in
+  let cpred =
+    let* r = oneofl rels and* c = oneofl f.consts in
+    return (Printf.sprintf "%s %s" r c, [], false)
+  in
+  let disj =
+    let* a = oneofl f.consts and* b = oneofl f.consts in
+    return (Printf.sprintf "<< %s %s >>" a b, [], true)
+  in
+  let conj first =
+    let* t1, b1, n1 = first in
+    let* t2, _, _ = if known_vars = [] then cpred else frequency [ (2, pred); (1, cpred) ] in
+    return (Printf.sprintf "{ %s %s }" t1 t2, b1, n1)
+  in
+  let when_ c l = if c then l else [] in
+  if narrow then
+    frequency ((1, const) :: when_ (bind_vars <> []) [ (2, var bind_vars) ])
+  else if wide && known_vars <> [] then
+    if f.fname = "state" then conj pred
+    else frequency [ (2, var known_vars); (1, pred) ]
+  else
+    frequency
+      ([ (3, return ("", [], false)); (2, const); (1, disj); (1, cpred) ]
+      @ when_ (bind_vars <> []) [ (4, var bind_vars); (1, conj (var bind_vars)) ]
+      @ when_ (known_vars <> []) [ (2, pred); (1, conj pred) ])
+
+(* A CE over the blocks schema: its source and the variables it binds.
+   Within the CE, a variable bound by an earlier field is known to the
+   later ones. [narrow] keeps a positive CE from matching every block,
+   which would blow working memory up into cross products. *)
+let gen_ce ?(wide = false) ?(narrow = false) ~sign ~bindable ~known () =
+  let open QCheck.Gen in
+  (* a wide CE's joins are all [=]/[<>] half the time: the shape the
+     node programs specialize apart from chains with ordered tests *)
+  let* eqne = if wide then bool else return false in
+  let rels = if eqne then [ "<>" ] else rels in
+  let rec go known narrowed binds acc = function
+    | [] ->
+      return (Printf.sprintf "%s(block%s)" sign (String.concat "" (List.rev acc)), binds)
+    | f :: rest ->
+      let narrow = narrow && rest = [] && not narrowed in
+      let* text, b, n = gen_test ~bindable ~known ~rels ~wide ~narrow f in
+      let acc = if text = "" then acc else Printf.sprintf " ^%s %s" f.fname text :: acc in
+      go (b @ known) (narrowed || n) (b @ binds) acc rest
+  in
+  go known false [] [] fields
+
+(* An NCC group: a positive CE, optionally followed by a negated or a
+   second positive CE. Variables the group's positives bind are local to
+   the group; its negated CE may only mention bound ones. *)
+let gen_ncc ~bound_anywhere ~before =
+  let open QCheck.Gen in
+  let* first, b1 = gen_ce ~sign:"" ~bindable:all_vars ~known:before () in
+  let known = b1 @ before in
+  let* second =
+    frequency
       [
-        map (fun c -> ("color", Printf.sprintf "%s" c)) (oneofl colors);
-        map (fun n -> ("name", n)) (oneofl names);
-        map (fun i -> ("state", string_of_int i)) (int_bound 2);
+        (2, return "");
+        (1, map fst (gen_ce ~sign:"-" ~bindable:(b1 @ bound_anywhere) ~known ()));
+        (1, map fst (gen_ce ~sign:"" ~bindable:all_vars ~known ()));
       ]
   in
-  let ce_src ~var i =
-    let* consts = list_size (int_bound 1) gen_const_test in
-    let const_str =
-      String.concat " " (List.map (fun (a, v) -> Printf.sprintf "^%s %s" a v) consts)
-    in
-    (* bind a variable on name so later CEs can join, in half the CEs *)
-    let* with_var = bool in
-    let var_str =
-      if with_var || i = 0 then Printf.sprintf "^on <%s>" var else ""
-    in
-    return (Printf.sprintf "(block %s %s)" const_str var_str)
+  return (Printf.sprintf "-{%s %s}" first second)
+
+(* A random production over the blocks schema: 1-4 positive CEs with
+   constant, disjunctive, conjunctive, variable and predicate tests
+   (between variables too, with every relation), and up to two negated
+   CEs or NCC groups anywhere after the first CE. A negation may mention
+   a variable that only a later CE binds — local to the negation under
+   written-order semantics. Predicates only compare against variables
+   bound earlier, so the linear build accepts every production. *)
+let gen_production =
+  let open QCheck.Gen in
+  let* n_pos = frequency [ (3, return 1); (4, return 2); (3, return 3); (2, return 4) ] in
+  let rec positives i known acc =
+    if i = n_pos then return (List.rev acc)
+    else
+      let* wide = if i = 0 then return false else map (fun k -> k = 0) (int_bound 2) in
+      let* src, binds = gen_ce ~wide ~narrow:(i > 0) ~sign:"" ~bindable:all_vars ~known () in
+      positives (i + 1) (binds @ known) ((src, known, binds) :: acc)
   in
-  let* n_ces = int_range 1 3 in
-  let* ces = List.init n_ces (fun i -> ce_src ~var:"x" i) |> flatten_l in
-  let* neg = bool in
-  let neg_src = if neg then "-(block ^on <x> ^color green)" else "" in
+  let* pos = positives 0 [] [] in
+  let bound_anywhere = List.concat_map (fun (_, _, b) -> b) pos in
+  (* negations go after positive CE [at] (1-based), where the variables
+     bound so far are those of the positives before them *)
+  let gen_negation at =
+    let _, known, binds = List.nth pos (at - 1) in
+    let before = binds @ known in
+    frequency
+      [
+        (3, map fst (gen_ce ~sign:"-" ~bindable:bound_anywhere ~known:before ()));
+        (2, gen_ncc ~bound_anywhere ~before);
+      ]
+  in
+  let* negs =
+    list_size (int_bound 2)
+      (* early negations often mention variables only later CEs bind *)
+      (let* at = frequency [ (1, return 1); (2, int_range 1 n_pos) ] in
+       map (fun src -> (at, src)) (gen_negation at))
+  in
+  let lhs =
+    List.concat
+      (List.mapi
+         (fun i (src, _, _) ->
+           src :: List.filter_map (fun (at, n) -> if at = i + 1 then Some n else None) negs)
+         pos)
+  in
   let* id = int_bound 10_000_000 in
-  return
-    (Printf.sprintf "(p rnd-%d %s %s --> (write ok))" id (String.concat " " ces)
-       neg_src)
+  return (Printf.sprintf "(p rnd-%d %s --> (write ok))" id (String.concat " " lhs))
 
 let arb_productions =
   QCheck.make
@@ -54,7 +164,7 @@ let arb_productions =
 (* A random history: batches of adds/deletes of block wmes; deletes only
    target wmes from earlier batches. *)
 type op =
-  | Add_block of string * string * int
+  | Add_block of string * string * string * Value.t  (** name, color, on, state *)
   | Del of int  (** index into previously added wmes *)
 
 let gen_history =
@@ -63,10 +173,10 @@ let gen_history =
     frequency
       [
         ( 4,
-          let* n = oneofl names in
-          let* c = oneofl colors in
-          let* s = int_bound 2 in
-          return (Add_block (n, c, s)) );
+          let* n = oneofl names and* c = oneofl colors in
+          let* on = oneofl ("nil" :: names) in
+          let* s = oneofl [ Value.Int 0; Value.Int 1; Value.Int 2; Value.Float 1.5 ] in
+          return (Add_block (n, c, on, s)) );
         (1, map (fun i -> Del i) (int_bound 30));
       ]
   in
@@ -81,7 +191,8 @@ let arb_history =
              String.concat ","
                (List.map
                   (function
-                    | Add_block (n, c, s) -> Printf.sprintf "+%s/%s/%d" n c s
+                    | Add_block (n, c, on, s) ->
+                      Printf.sprintf "+%s/%s/%s/%s" n c on (Value.to_string s)
                     | Del i -> Printf.sprintf "-#%d" i)
                   b))
            batches))
@@ -92,101 +203,178 @@ let blocks_schema () =
   Schema.declare schema "block" [ "name"; "color"; "on"; "state" ];
   schema
 
-let realize_history schema batches =
-  (* turn ops into per-batch change lists with consistent timetags *)
-  let tag = ref 0 in
-  let added = ref [||] in
-  let deleted = Hashtbl.create 16 in
-  List.map
-    (fun batch ->
-      let changes = ref [] in
-      List.iter
-        (fun op ->
-          match op with
-          | Add_block (n, c, s) ->
-            incr tag;
-            let cls = Sym.intern "block" in
-            let fields = Array.make (Schema.arity schema cls) Value.nil in
-            fields.(0) <- Value.sym n;
-            fields.(1) <- Value.sym c;
-            fields.(3) <- Value.Int s;
-            let w = Wme.make ~cls ~fields ~timetag:!tag in
-            added := Array.append !added [| w |];
-            changes := (Task.Add, w) :: !changes
-          | Del i ->
-            let n = Array.length !added in
-            if n > 0 then begin
-              let idx = i mod n in
-              let w = !added.(idx) in
-              (* only delete committed, not-yet-deleted wmes, and not
-                 ones added in this same batch *)
-              if
-                (not (Hashtbl.mem deleted w.Wme.timetag))
-                && not (List.exists (fun (_, x) -> Wme.equal x w) !changes)
-              then begin
-                Hashtbl.replace deleted w.Wme.timetag ();
-                changes := (Task.Delete, w) :: !changes
-              end
-            end)
-        batch;
-      List.rev !changes)
-    batches
+(* Replay a history against working memory [wm], batch by batch: adds
+   take [wm]'s timetags, and a delete hits a live wme added in an
+   earlier batch (or nothing). [realize_batch] applies one batch to [wm]
+   and returns its change list. *)
+type replay = { wm : Wm.t; added : Wme.t Vec.t; deleted : (int, unit) Hashtbl.t }
 
-let build_net schema prods_src =
-  let net = Network.create schema in
+let replay wm = { wm; added = Vec.create (); deleted = Hashtbl.create 16 }
+
+let realize_batch r batch =
+  let changes = ref [] in
   List.iter
+    (function
+      | Add_block (n, c, on, s) ->
+        let fields = [| Value.sym n; Value.sym c; Value.sym on; s |] in
+        let w = Wm.add r.wm ~cls:(Sym.intern "block") ~fields in
+        Vec.push r.added w;
+        changes := (Task.Add, w) :: !changes
+      | Del i ->
+        let n = Vec.length r.added in
+        if n > 0 then begin
+          let w = Vec.get r.added (i mod n) in
+          if
+            (not (Hashtbl.mem r.deleted w.Wme.timetag))
+            && not (List.exists (fun (_, x) -> Wme.equal x w) !changes)
+          then begin
+            Hashtbl.replace r.deleted w.Wme.timetag ();
+            Wm.remove r.wm w;
+            changes := (Task.Delete, w) :: !changes
+          end
+        end)
+    batch;
+  List.rev !changes
+
+let realize wm history =
+  let r = replay wm in
+  List.map (realize_batch r) history
+
+(* Random productions may collide on a name or be declined by a build
+   mode; skip those. *)
+let try_build net schema srcs =
+  List.filter_map
     (fun src ->
       match Parser.parse_production schema src with
-      | p -> ( try ignore (Build.add_production net p) with Invalid_argument _ -> ())
-      | exception _ -> ())
-    prods_src;
+      | p -> (
+        try Some (Build.add_production net p) with
+        | Invalid_argument _ | Build.Build_error _ -> None)
+      | exception _ -> None)
+    srcs
+
+let build_net ?config schema srcs =
+  let net = Network.create ?config schema in
+  ignore (try_build net schema srcs);
   net
 
-(* --- engine equivalence -------------------------------------------------- *)
+(* --- the naive-matcher oracle ---------------------------------------------- *)
 
-let prop_sim_equals_serial =
-  QCheck.Test.make ~count:60 ~name:"sim conflict set = serial conflict set"
-    (QCheck.pair arb_productions arb_history)
+let token_tags t = List.init (Token.length t) (fun i -> (Token.wme t i).Wme.timetag)
+
+(* The Rete's conflict set in the oracle's shape. *)
+let rete_cs net =
+  Conflict_set.to_list net.Network.cs
+  |> List.map (fun i -> (Sym.name i.Conflict_set.prod, token_tags i.Conflict_set.token))
+  |> List.sort compare
+
+let oracle_cs net wm =
+  Naive.conflict_set
+    (List.map (fun pm -> pm.Network.meta_production) (Network.productions net))
+    (Wm.to_list wm)
+
+let pp_cs cs =
+  let tags l = String.concat "," (List.map string_of_int l) in
+  String.concat " " (List.map (fun (p, l) -> Printf.sprintf "%s[%s]" p (tags l)) cs)
+
+let check_oracle what net wm =
+  let got = rete_cs net and want = oracle_cs net wm in
+  if got <> want then
+    QCheck.Test.fail_reportf "%s: Rete conflict set@ %s@ differs from the oracle's@ %s" what
+      (pp_cs got) (pp_cs want)
+
+(* Build the productions, then run the history batch by batch, checking
+   the conflict set against the oracle after every batch. *)
+let oracle_prop ~name ~count ?config run =
+  QCheck.Test.make ~count ~name (QCheck.pair arb_productions arb_history)
     (fun (prods, history) ->
       let schema = blocks_schema () in
-      let batches = realize_history schema history in
-      let net_a = build_net schema prods in
-      List.iter (fun b -> ignore (Serial.run_changes net_a b)) batches;
-      let net_b = build_net schema prods in
-      let cfg = { Sim.procs = 5; queues = Parallel.Multiple_queues; collect_trace = false } in
-      List.iter (fun b -> ignore (Sim.run_changes cfg net_b b)) batches;
-      Fixtures.cs_fingerprint net_a = Fixtures.cs_fingerprint net_b)
+      let net = build_net ?config schema prods in
+      let wm = Wm.create () in
+      let r = replay wm in
+      List.iteri
+        (fun i batch ->
+          run net (realize_batch r batch);
+          check_oracle (Printf.sprintf "batch %d" i) net wm)
+        history;
+      true)
 
-let prop_parallel_equals_serial =
-  QCheck.Test.make ~count:15 ~name:"real domains conflict set = serial"
-    (QCheck.pair arb_productions arb_history)
-    (fun (prods, history) ->
+let sim_cfg = { Sim.procs = 5; queues = Parallel.Multiple_queues; collect_trace = true }
+
+let prop_oracle_serial =
+  oracle_prop ~name:"oracle: serial engine" ~count:60 (fun net b ->
+      ignore (Serial.run_changes net b))
+
+(* traced, so the tracer is shown not to perturb the match *)
+let prop_oracle_sim =
+  oracle_prop ~name:"oracle: sim engine (5 procs, traced)" ~count:60 (fun net b ->
+      ignore (Sim.run_changes ~tracer:(Psme_obs.Trace.create ()) sim_cfg net b))
+
+let prop_oracle_domains =
+  let cfg = { Parallel.processes = 3; queues = Parallel.Multiple_queues } in
+  oracle_prop ~name:"oracle: domains engine (3 procs)" ~count:15 (fun net b ->
+      ignore (Parallel.run_changes cfg net b))
+
+let prop_oracle_reorder =
+  oracle_prop ~name:"oracle: reorder_joins build" ~count:300
+    ~config:{ Network.default_config with Network.reorder_joins = true }
+    (fun net b -> ignore (Serial.run_changes net b))
+
+let prop_oracle_bilinear =
+  oracle_prop ~name:"oracle: bilinear build" ~count:1000
+    ~config:
+      {
+        Network.default_config with
+        Network.bilinear = true;
+        bilinear_min_ces = 2;
+        bilinear_ctx = 1;
+        bilinear_group = 2;
+      }
+    (fun net b -> ignore (Sim.run_changes sim_cfg net b))
+
+(* Run-time production changes (§5.1/§5.2): early productions see a
+   third of the history, the late ones are spliced in at quiescence and
+   updated from working memory, another third runs, one production is
+   excised, and the rest runs. The oracle checks every step, and the
+   state verifier reports no error throughout (after the excise it may
+   only warn that the rebuild it diffs against no longer matches). *)
+let prop_oracle_runtime_changes =
+  QCheck.Test.make ~count:40 ~name:"oracle: run-time add, update, excise"
+    (QCheck.triple arb_productions arb_productions arb_history)
+    (fun (early, late, history) ->
       let schema = blocks_schema () in
-      let batches = realize_history schema history in
-      let net_a = build_net schema prods in
-      List.iter (fun b -> ignore (Serial.run_changes net_a b)) batches;
-      let net_b = build_net schema prods in
-      let cfg = { Parallel.processes = 3; queues = Parallel.Multiple_queues } in
-      List.iter (fun b -> ignore (Parallel.run_changes cfg net_b b)) batches;
-      Fixtures.cs_fingerprint net_a = Fixtures.cs_fingerprint net_b)
-
-(* --- observability does not perturb the match ------------------------------- *)
-
-let prop_traced_sim_equals_serial =
-  QCheck.Test.make ~count:40 ~name:"tracing and metrics do not change the match"
-    (QCheck.pair arb_productions arb_history)
-    (fun (prods, history) ->
-      let schema = blocks_schema () in
-      let batches = realize_history schema history in
-      let net_a = build_net schema prods in
-      List.iter (fun b -> ignore (Serial.run_changes net_a b)) batches;
-      let net_b = build_net schema prods in
-      let tracer = Psme_obs.Trace.create () in
-      let cfg =
-        { Sim.procs = 5; queues = Parallel.Multiple_queues; collect_trace = true }
+      let net = build_net schema early in
+      let wm = Wm.create () in
+      let r = replay wm in
+      let step = ref 0 in
+      let check what =
+        check_oracle what net wm;
+        let v = Psme_check.Verify.state net (Wm.to_list wm) in
+        if Psme_check.Finding.errors v > 0 then
+          QCheck.Test.fail_reportf "%s: state verifier:@ %a" what Psme_check.Finding.pp v
       in
-      List.iter (fun b -> ignore (Sim.run_changes ~tracer cfg net_b b)) batches;
-      Fixtures.cs_fingerprint net_a = Fixtures.cs_fingerprint net_b)
+      let run_batches k =
+        List.iter
+          (fun batch ->
+            ignore (Serial.run_changes net (realize_batch r batch));
+            incr step;
+            check (Printf.sprintf "batch %d" !step))
+          k
+      in
+      let n = List.length history in
+      let third k = List.filteri (fun i _ -> i * 3 / n = k) history in
+      run_batches (third 0);
+      let added = try_build net schema late in
+      ignore (Serial.run_tasks net (Update.update_tasks_batch net wm added));
+      check "after the run-time addition";
+      run_batches (third 1);
+      (match Network.productions net with
+      | [] -> ()
+      | pms ->
+        let victim = List.nth pms (List.length history mod List.length pms) in
+        Build.excise_production net victim.Network.meta_production.Production.name;
+        check "after the excise");
+      run_batches (third 2);
+      true)
 
 let prop_traced_sim_self_consistent =
   (* one traced episode's (time, tasks-in-system) samples and its event
@@ -195,11 +383,9 @@ let prop_traced_sim_self_consistent =
     (QCheck.pair arb_productions arb_history)
     (fun (prods, history) ->
       let schema = blocks_schema () in
-      let batches = realize_history schema history in
+      let batches = realize (Wm.create ()) history in
       let net = build_net schema prods in
-      let cfg =
-        { Sim.procs = 5; queues = Parallel.Multiple_queues; collect_trace = true }
-      in
+      let cfg = sim_cfg in
       List.for_all
         (fun batch ->
           let tracer = Psme_obs.Trace.create () in
@@ -245,44 +431,12 @@ let prop_remove_all_empties_cs =
     (QCheck.pair arb_productions arb_history)
     (fun (prods, history) ->
       let schema = blocks_schema () in
-      let batches = realize_history schema history in
+      let wm = Wm.create () in
+      let batches = realize wm history in
       let net = build_net schema prods in
-      let live = Hashtbl.create 32 in
-      List.iter
-        (fun b ->
-          List.iter
-            (fun (flag, w) ->
-              match flag with
-              | Task.Add -> Hashtbl.replace live w.Wme.timetag w
-              | Task.Delete -> Hashtbl.remove live w.Wme.timetag)
-            b;
-          ignore (Serial.run_changes net b))
-        batches;
-      let removals = Hashtbl.fold (fun _ w acc -> (Task.Delete, w) :: acc) live [] in
-      ignore (Serial.run_changes net removals);
+      List.iter (fun b -> ignore (Serial.run_changes net b)) batches;
+      ignore (Serial.run_changes net (List.map (fun w -> (Task.Delete, w)) (Wm.to_list wm)));
       Conflict_set.size net.Network.cs = 0)
-
-let prop_match_is_history_independent =
-  QCheck.Test.make ~count:60 ~name:"final conflict set depends only on final wm"
-    (QCheck.pair arb_productions arb_history)
-    (fun (prods, history) ->
-      let schema = blocks_schema () in
-      let batches = realize_history schema history in
-      (* incremental *)
-      let net_a = build_net schema prods in
-      List.iter (fun b -> ignore (Serial.run_changes net_a b)) batches;
-      (* from scratch: only the surviving adds *)
-      let live = Hashtbl.create 32 in
-      List.iter
-        (List.iter (fun (flag, w) ->
-             match flag with
-             | Task.Add -> Hashtbl.replace live w.Wme.timetag w
-             | Task.Delete -> Hashtbl.remove live w.Wme.timetag))
-        batches;
-      let net_b = build_net schema prods in
-      let adds = Hashtbl.fold (fun _ w acc -> (Task.Add, w) :: acc) live [] in
-      ignore (Serial.run_changes net_b adds);
-      Fixtures.cs_fingerprint net_a = Fixtures.cs_fingerprint net_b)
 
 (* --- runtime addition ------------------------------------------------------- *)
 
@@ -295,41 +449,18 @@ let prop_runtime_add_equals_preload =
       | [] -> true
       | late :: early ->
         let schema = blocks_schema () in
-        let batches = realize_history schema history in
+        let wm = Wm.create () in
+        let batches = realize wm history in
         (* all up front *)
         let net_a = build_net schema (late :: early) in
         List.iter (fun b -> ignore (Serial.run_changes net_a b)) batches;
         (* one production added at run time, then updated *)
         let net_b = build_net schema early in
-        let wm = Wm.create () in
         List.iter (fun b -> ignore (Serial.run_changes net_b b)) batches;
-        (* mirror the final wm for Update *)
-        let live = Hashtbl.create 32 in
-        List.iter
-          (List.iter (fun (flag, w) ->
-               match flag with
-               | Task.Add -> Hashtbl.replace live w.Wme.timetag w
-               | Task.Delete -> Hashtbl.remove live w.Wme.timetag))
-          batches;
-        Hashtbl.iter
-          (fun _ w -> ignore (Wm.add wm ~cls:w.Wme.cls ~fields:w.Wme.fields))
-          live;
-        (match Parser.parse_production schema late with
-        | p -> (
-          try
-            let res = Build.add_production net_b p in
-            let tasks = Update.update_tasks net_b wm res in
-            ignore (Serial.run_tasks net_b tasks)
-          with Invalid_argument _ -> ())
-        | exception _ -> ());
-        (* compare only instantiation counts per production name: the
-           update wm uses fresh timetags *)
-        let counts net =
-          Conflict_set.to_list net.Network.cs
-          |> List.map (fun i -> Sym.name i.Conflict_set.prod)
-          |> List.sort compare
-        in
-        List.length (counts net_a) = List.length (counts net_b))
+        ignore
+          (Serial.run_tasks net_b
+             (Update.update_tasks_batch net_b wm (try_build net_b schema [ late ])));
+        rete_cs net_a = rete_cs net_b)
 
 (* --- preference semantics ---------------------------------------------------- *)
 
@@ -465,20 +596,13 @@ let prop_single_line_memory_equivalent =
     (QCheck.pair arb_productions arb_history)
     (fun (prods, history) ->
       let schema = blocks_schema () in
-      let batches = realize_history schema history in
+      let batches = realize (Wm.create ()) history in
       let build lines =
         let net =
-          Network.create ~config:{ Network.default_config with Network.lines } schema
+          build_net ~config:{ Network.default_config with Network.lines } schema prods
         in
-        List.iter
-          (fun src ->
-            match Parser.parse_production schema src with
-            | p -> (
-              try ignore (Build.add_production net p) with Invalid_argument _ -> ())
-            | exception _ -> ())
-          prods;
         List.iter (fun b -> ignore (Serial.run_changes net b)) batches;
-        Fixtures.cs_fingerprint net
+        rete_cs net
       in
       build 1 = build 512)
 
@@ -486,49 +610,33 @@ let prop_excise_then_rebuild =
   QCheck.Test.make ~count:30 ~name:"excise + re-add restores the conflict set"
     (QCheck.pair arb_productions arb_history)
     (fun (prods, history) ->
-      match prods with
+      let schema = blocks_schema () in
+      let wm = Wm.create () in
+      let batches = realize wm history in
+      let net = build_net schema prods in
+      List.iter (fun b -> ignore (Serial.run_changes net b)) batches;
+      let before = rete_cs net in
+      match Network.productions net with
       | [] -> true
       | victim :: _ ->
-        let schema = blocks_schema () in
-        let batches = realize_history schema history in
-        let net = build_net schema prods in
-        List.iter (fun b -> ignore (Serial.run_changes net b)) batches;
-        let before = Fixtures.cs_fingerprint net in
-        (match Parser.parse_production schema victim with
-        | p ->
-          let name = p.Production.name in
-          if Option.is_some (Network.find_production net name) then begin
-            Build.excise_production net name;
-            (* re-add and update from the surviving wm *)
-            let wm = Wm.create () in
-            let live = Hashtbl.create 32 in
-            List.iter
-              (List.iter (fun (flag, w) ->
-                   match flag with
-                   | Task.Add -> Hashtbl.replace live w.Wme.timetag w
-                   | Task.Delete -> Hashtbl.remove live w.Wme.timetag))
-              batches;
-            Hashtbl.iter (fun _ w -> ignore (Wm.add wm ~cls:w.Wme.cls ~fields:w.Wme.fields)) live;
-            (try
-               let res = Build.add_production net p in
-               let tasks = Update.update_tasks net wm res in
-               ignore (Serial.run_tasks net tasks)
-             with Invalid_argument _ -> ())
-          end;
-          (* instantiation multiset per production must match in count *)
-          let count fp = List.length (String.split_on_char ';' fp) in
-          count (Fixtures.cs_fingerprint net) = count before
-        | exception _ -> true))
+        let p = victim.Network.meta_production in
+        Build.excise_production net p.Production.name;
+        (* re-add and update from the surviving wm *)
+        let res = Build.add_production net p in
+        ignore (Serial.run_tasks net (Update.update_tasks net wm res));
+        rete_cs net = before)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_sim_equals_serial;
-      prop_parallel_equals_serial;
-      prop_traced_sim_equals_serial;
+      prop_oracle_serial;
+      prop_oracle_sim;
+      prop_oracle_domains;
+      prop_oracle_reorder;
+      prop_oracle_bilinear;
+      prop_oracle_runtime_changes;
       prop_traced_sim_self_consistent;
       prop_remove_all_empties_cs;
-      prop_match_is_history_independent;
       prop_runtime_add_equals_preload;
       prop_decide_sound;
       prop_event_queue_sorted;

@@ -398,6 +398,49 @@ let test_bilinear_delete () =
   remove_and_match net wm victim;
   Alcotest.(check int) "retracts through binary joins" 0 (count_insts net "chain6")
 
+(* Regressions the naive oracle found in bilinear builds. The small
+   configuration restructures every production of two or more positive
+   CEs: one context CE, then groups of two. Over the single wme
+   [block a <color> <on> 0], the linear and the bilinear build must both
+   give [expect] instantiations, exactly the oracle's. *)
+let small_bilinear =
+  {
+    Network.default_config with
+    Network.bilinear = true;
+    bilinear_min_ces = 2;
+    bilinear_ctx = 1;
+    bilinear_group = 2;
+  }
+
+let check_builds_agree ~src ~color ~on expect =
+  List.iter
+    (fun (build, config) ->
+      let schema, net = network_of ~config src in
+      let wm = Wm.create () in
+      ignore
+        (add_and_match net wm schema "block"
+           [ ("name", sym "a"); ("color", sym color); ("on", sym on); ("state", int 0) ]);
+      Alcotest.(check int) (build ^ " instantiations") expect
+        (Conflict_set.size net.Network.cs);
+      Alcotest.(check (list (pair string (list int))))
+        (build ^ " = oracle")
+        (Test_props.oracle_cs net wm) (Test_props.rete_cs net))
+    [ ("linear", Network.default_config); ("bilinear", small_bilinear) ]
+
+(* An NCC's CEs live in its subnetwork: they are not required positives
+   of the main token. *)
+let test_bilinear_ncc_subnetwork () =
+  check_builds_agree ~color:"red" ~on:"b" 1
+    ~src:"(p ncc (block ^name <x>) -{(block ^on <x>)} (block ^color red) --> (write ok))"
+
+(* Two predicates on another group's variable stay two cross-group
+   tests, not one test plus an intra-wme comparison. *)
+let test_bilinear_cross_group_predicates () =
+  check_builds_agree ~color:"red" ~on:"a" 0
+    ~src:
+      "(p twice (block ^name <x>) (block ^on <y>) (block ^name <y>) (block ^color <> <y> \
+       ^on <> <y>) --> (write ok))"
+
 let test_bilinear_runtime_add_and_update () =
   (* a long production added at run time under the bilinear config must
      match existing working memory after the §5.2 update *)
@@ -512,6 +555,10 @@ let suite =
     Alcotest.test_case "bilinear delete" `Quick test_bilinear_delete;
     Alcotest.test_case "bilinear runtime add + update" `Quick
       test_bilinear_runtime_add_and_update;
+    Alcotest.test_case "bilinear: NCC CEs stay in subnetwork" `Quick
+      test_bilinear_ncc_subnetwork;
+    Alcotest.test_case "bilinear: cross-group predicates" `Quick
+      test_bilinear_cross_group_predicates;
     Alcotest.test_case "memory roundtrip" `Quick test_memory_roundtrip;
     Alcotest.test_case "memory node isolation" `Quick test_memory_node_isolation;
     Alcotest.test_case "left access counters" `Quick test_left_access_counters;

@@ -204,6 +204,32 @@ let test_bilinear_strips_equivalent () =
   Alcotest.(check int) "same decisions" s_lin.Agent.decisions s_bil.Agent.decisions;
   Alcotest.(check bool) "both solve" true (Strips.solved lin && Strips.solved bil)
 
+(* After a learning run on the serial engine, the Rete's final conflict
+   set (chunks included) must be exactly the one the naive matcher
+   computes from working memory. *)
+let test_workload_conflict_sets_match_oracle () =
+  List.iter
+    (fun w ->
+      let config =
+        {
+          Agent.default_config with
+          Agent.learning = true;
+          engine_mode = Psme_engine.Engine.Serial_mode;
+        }
+      in
+      let agent = w.Workload.make ~config () in
+      let s = Agent.run agent in
+      Agent.flush_match agent;
+      let net = Agent.network agent in
+      Alcotest.(check bool) (w.Workload.name ^ " learned chunks") true (s.Agent.chunks <> []);
+      Alcotest.(check bool) (w.Workload.name ^ " ends with instantiations") true
+        (Conflict_set.size net.Network.cs > 0);
+      Alcotest.(check (list (pair string (list int))))
+        (w.Workload.name ^ ": final conflict set = oracle")
+        (Test_props.oracle_cs net (Agent.wm agent))
+        (Test_props.rete_cs net))
+    all
+
 let suite =
   [
     Alcotest.test_case "production counts match paper" `Quick test_production_counts;
@@ -220,4 +246,6 @@ let suite =
     Alcotest.test_case "sharing reduces new nodes" `Quick test_sharing_reduces_new_nodes;
     Alcotest.test_case "soar loop on sim engine" `Quick test_workloads_under_sim_engine;
     Alcotest.test_case "bilinear strips equivalent" `Slow test_bilinear_strips_equivalent;
+    Alcotest.test_case "final conflict sets = oracle" `Slow
+      test_workload_conflict_sets_match_oracle;
   ]
