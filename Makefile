@@ -2,7 +2,7 @@
 # must pass. Formatting is checked only when ocamlformat is installed
 # (the CI format job is advisory too).
 
-.PHONY: all build test fmt lint analyze verify attribute check bench bench-json bench-quick bench-gate clean
+.PHONY: all build test fmt lint analyze verify attribute check bench bench-json bench-quick bench-gate perfbench-ab clean
 
 all: build
 
@@ -62,6 +62,18 @@ bench-quick:
 GATE_BASELINE ?= BENCH_PR9.json
 bench-gate:
 	dune exec bench/main.exe -- --gate $(GATE_BASELINE)
+
+# Same-hour A/B of the working tree against BASE on BENCHMARK.json's
+# workloads: PAIRS pairs per workload, alternating which side runs
+# first; every run to $(AB_DIR)/ab.jsonl, then medians, quartiles and
+# win counts per workload and metric. Extra flags go in AB_ARGS, e.g.
+#   make perfbench-ab BASE=HEAD~1 PAIRS=3 AB_ARGS='--workload io-stream --trace 1'
+PAIRS ?= 10
+AB_DIR ?= _perfbench-ab
+perfbench-ab:
+	@test -n "$(BASE)" || { echo "usage: make perfbench-ab BASE=<rev> [PAIRS=10]"; exit 2; }
+	dune build tools/perfbench_ab.exe
+	./_build/default/tools/perfbench_ab.exe --base $(BASE) --pairs $(PAIRS) --dir $(AB_DIR) $(AB_ARGS)
 
 clean:
 	dune clean

@@ -28,15 +28,5 @@ let to_list t =
   Hashtbl.fold (fun _ w acc -> w :: acc) t.by_tag []
   |> List.sort Wme.compare
 
-let find_same_contents t ~cls ~fields =
-  let probe = Wme.make ~cls ~fields ~timetag:0 in
-  let found = ref None in
-  (try
-     Hashtbl.iter
-       (fun _ w -> if Wme.same_contents w probe then begin found := Some w; raise Exit end)
-       t.by_tag
-   with Exit -> ());
-  !found
-
 let pp schema ppf t =
   List.iter (fun w -> Format.fprintf ppf "%a@." (Wme.pp schema) w) (to_list t)

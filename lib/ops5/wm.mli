@@ -26,8 +26,4 @@ val iter : (Wme.t -> unit) -> t -> unit
 val to_list : t -> Wme.t list
 (** In ascending timetag order. *)
 
-val find_same_contents : t -> cls:Sym.t -> fields:Value.t array -> Wme.t option
-(** An arbitrary present wme with these contents (for OPS5 [remove] of a
-    matched element and for duplicate suppression in Soar). *)
-
 val pp : Schema.t -> Format.formatter -> t -> unit

@@ -10,14 +10,14 @@ let make ~cls ~fields ~timetag = { cls; fields; timetag }
 
 let[@inline] field t i = t.fields.(i)
 
+let rec fields_equal fa fb i =
+  i = Array.length fa || (Value.equal fa.(i) fb.(i) && fields_equal fa fb (i + 1))
+
 let same_contents a b =
-  Sym.equal a.cls b.cls
-  && Array.length a.fields = Array.length b.fields
-  && begin
-    let ok = ref true in
-    Array.iteri (fun i v -> if not (Value.equal v b.fields.(i)) then ok := false) a.fields;
-    !ok
-  end
+  a == b
+  || Sym.equal a.cls b.cls
+     && Array.length a.fields = Array.length b.fields
+     && fields_equal a.fields b.fields 0
 
 let equal a b = a.timetag = b.timetag
 let compare a b = Stdlib.compare a.timetag b.timetag

@@ -19,7 +19,9 @@ val make : cls:Sym.t -> fields:Value.t array -> timetag:int -> t
 val field : t -> int -> Value.t
 
 val same_contents : t -> t -> bool
-(** Class and all fields equal (timetags ignored). *)
+(** Class and all fields equal (timetags ignored). A wme always has the
+    same contents as itself, even when a field is a NaN float, which
+    {!Value.equal} does not equate with itself. *)
 
 val equal : t -> t -> bool
 (** Identity: equal timetags. Within one working memory timetags are

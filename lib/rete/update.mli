@@ -26,7 +26,3 @@ val update_tasks_batch : Network.t -> Wm.t -> Build.add_result list -> Task.t li
     the batch's lowest watermark; replay only applies where a new node
     hangs off a node that predates the whole batch — new-on-new edges
     fill by ordinary propagation. *)
-
-val alpha_activations_of_last_update : unit -> int
-(** Constant-test activations performed while seeding the most recent
-    {!update_tasks} call (cost accounting for the simulator). *)

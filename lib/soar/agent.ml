@@ -69,6 +69,17 @@ type pending_result = {
   pr_target_level : int;
 }
 
+(* Live wmes keyed by contents, so one probe tells whether working
+   memory already holds a wme (Soar working memory is a set). Equality
+   is physical first (see [Wme.same_contents]): a wme carrying a NaN
+   still finds its own entry when it is removed. *)
+module Contents = Hashtbl.Make (struct
+  type t = Wme.t
+
+  let equal = Wme.same_contents
+  let hash = Wme.hash
+end)
+
 type t = {
   cfg : config;
   schema : Schema.t;
@@ -77,7 +88,9 @@ type t = {
   wm : Wm.t;
   mutable goals : goal list;  (* top first *)
   id_level : (Sym.t, int) Hashtbl.t;
-  wme_level : (int, int) Hashtbl.t;  (* timetag -> attachment level *)
+  wme_level : int Contents.t;  (* live wme -> attachment level *)
+  slots : (Sym.t * Sym.t, Wme.t list) Hashtbl.t;
+      (* (goal, role) -> the slot's live value and preference wmes *)
   creators : (int, Chunker.creator) Hashtbl.t;  (* timetag -> provenance *)
   mutable pending : (Task.flag * Wme.t) list;  (* buffered cycle changes, reversed *)
   mutable pending_results : pending_result list;
@@ -133,10 +146,53 @@ let attachment_id t w =
     | _ -> None
   else None
 
-let wme_level t w =
-  match Hashtbl.find_opt t.wme_level w.Wme.timetag with
-  | Some l -> l
-  | None -> 1
+let live_level t w =
+  match Contents.find_opt t.wme_level w with Some l -> l | None -> 1
+
+(* Backtracing asks for the level of wmes that have left working memory
+   since; they read 1, even when a wme with the same contents has been
+   added again. *)
+let wme_level t w = if Wm.mem t.wm w then live_level t w else 1
+
+(* --- the decision index ------------------------------------------------ *)
+
+let goal_sym = lazy (Sym.intern goal_cls)
+
+(* The (goal, role) slot a wme belongs to, if any: a [(goal ^role value)]
+   wme holds the slot's value, a preference votes on it. Roles are
+   matched by name, so indexing interns nothing. *)
+let slot_key w =
+  let key g r = if List.mem (Sym.name r) roles then Some (g, r) else None in
+  if Sym.equal w.Wme.cls (Lazy.force goal_sym) then
+    match w.Wme.fields with [| Value.Sym g; Value.Sym r; _ |] -> key g r | _ -> None
+  else match Prefs.decode w with Some (g, r, _) -> key g r | None -> None
+
+let indexed t key = Option.value ~default:[] (Hashtbl.find_opt t.slots key)
+
+let index_add t w =
+  match slot_key w with
+  | Some key -> Hashtbl.replace t.slots key (w :: indexed t key)
+  | None -> ()
+
+let index_remove t w =
+  match slot_key w with
+  | Some key -> (
+    match List.filter (fun x -> not (Wme.equal x w)) (indexed t key) with
+    | [] -> Hashtbl.remove t.slots key
+    | rest -> Hashtbl.replace t.slots key rest)
+  | None -> ()
+
+(* Interning [role] is part of the lookup: the decision path interns the
+   role names on its first visit, and symbol ids (hence every khash and
+   memory line) depend on intern order. *)
+let slot_wmes t ~goal ~role = indexed t (goal, Sym.intern role)
+
+let value_wme wmes = List.find_opt (fun w -> Sym.equal w.Wme.cls (Lazy.force goal_sym)) wmes
+
+let votes_in wmes =
+  List.filter_map
+    (fun w -> Option.map (fun (_, _, vote) -> (vote, w)) (Prefs.decode w))
+    wmes
 
 (* --- wme creation ------------------------------------------------------ *)
 
@@ -149,9 +205,8 @@ let ensure_triple_class t cls =
    [level] is the creation context's goal depth; the wme's level is its
    attachment id's level when that id is known. *)
 let internal_add t ~cls ~fields ~level ~creator =
-  match Wm.find_same_contents t.wm ~cls ~fields with
-  | Some _ -> None
-  | None ->
+  if Contents.mem t.wme_level (Wme.make ~cls ~fields ~timetag:0) then None
+  else begin
     let w = Wm.add t.wm ~cls ~fields in
     (* register a new identifier introduced in field 0 of a triple *)
     (if Array.length fields = 3 && Sym.name cls <> Prefs.class_name then
@@ -163,17 +218,20 @@ let internal_add t ~cls ~fields ~level ~creator =
       | Some id -> ( match id_level t id with Some l -> l | None -> level)
       | None -> level
     in
-    Hashtbl.replace t.wme_level w.Wme.timetag lvl;
+    Contents.add t.wme_level w lvl;
+    index_add t w;
     (match creator with
     | Some c -> Hashtbl.replace t.creators w.Wme.timetag c
     | None -> ());
     t.pending <- (Task.Add, w) :: t.pending;
     Some (w, lvl)
+  end
 
 let internal_remove t w =
   if Wm.mem t.wm w then begin
     Wm.remove t.wm w;
-    Hashtbl.remove t.wme_level w.Wme.timetag;
+    Contents.remove t.wme_level w;
+    index_remove t w;
     Hashtbl.remove t.creators w.Wme.timetag;
     (* A wme added and removed within the same buffered cycle must not
        reach the engines at all: concurrent processing of its Add and
@@ -198,44 +256,8 @@ let add_triple t ~cls ~id ~attr ~value =
 
 (* --- queries ------------------------------------------------------------ *)
 
-let goal_sym = lazy (Sym.intern goal_cls)
-
 let slot t ~goal ~role =
-  let role_v = Value.sym role in
-  let found = ref None in
-  Wm.iter
-    (fun w ->
-      if
-        Sym.equal w.Wme.cls (Lazy.force goal_sym)
-        && Value.equal w.Wme.fields.(0) (Value.Sym goal)
-        && Value.equal w.Wme.fields.(1) role_v
-      then found := Some w.Wme.fields.(2))
-    t.wm;
-  !found
-
-let slot_wme t ~goal ~role =
-  let role_v = Value.sym role in
-  let found = ref None in
-  Wm.iter
-    (fun w ->
-      if
-        Sym.equal w.Wme.cls (Lazy.force goal_sym)
-        && Value.equal w.Wme.fields.(0) (Value.Sym goal)
-        && Value.equal w.Wme.fields.(1) role_v
-      then found := Some w)
-    t.wm;
-  !found
-
-let prefs_for t ~goal ~role =
-  let out = ref [] in
-  Wm.iter
-    (fun w ->
-      match Prefs.decode w with
-      | Some (g, r, vote) when Sym.equal g goal && Sym.equal r (Sym.intern role) ->
-        out := (vote, w) :: !out
-      | _ -> ())
-    t.wm;
-  List.rev !out
+  Option.map (fun w -> w.Wme.fields.(2)) (value_wme (slot_wmes t ~goal ~role))
 
 (* --- construction -------------------------------------------------------- *)
 
@@ -259,7 +281,8 @@ let create ?(config = default_config) schema productions =
       wm = Wm.create ();
       goals = [];
       id_level = Hashtbl.create 256;
-      wme_level = Hashtbl.create 1024;
+      wme_level = Contents.create 1024;
+      slots = Hashtbl.create 16;
       creators = Hashtbl.create 1024;
       pending = [];
       pending_results = [];
@@ -559,22 +582,32 @@ let destroy_goals_below t depth =
   if List.exists (fun g -> g.depth > depth) t.goals then begin
     t.goals <- List.filter (fun g -> g.depth <= depth) t.goals;
     let victims = ref [] in
-    Wm.iter (fun w -> if wme_level t w > depth then victims := w :: !victims) t.wm;
+    Wm.iter (fun w -> if live_level t w > depth then victims := w :: !victims) t.wm;
     List.iter (internal_remove t) !victims;
-    Hashtbl.iter
-      (fun id l -> if l > depth then Hashtbl.remove t.id_level id)
-      (Hashtbl.copy t.id_level)
+    Hashtbl.filter_map_inplace
+      (fun _ l -> if l > depth then None else Some l)
+      t.id_level
   end
 
+(* Removes each cleared slot's value, then consumes its preferences,
+   role by role. The engines see the deletes in this order, so the
+   preferences go in working-memory order, collected by one pass. *)
 let clear_slot_and_deeper_roles t g role_idx =
+  let prefs = Array.make (List.length roles) [] in
+  Wm.iter
+    (fun w ->
+      match Prefs.decode w with
+      | Some (goal, r, _) when Sym.equal goal g.gid -> (
+        match List.find_index (String.equal (Sym.name r)) roles with
+        | Some i when i >= role_idx -> prefs.(i) <- w :: prefs.(i)
+        | Some _ | None -> ())
+      | _ -> ())
+    t.wm;
   List.iteri
     (fun i role ->
       if i >= role_idx then begin
-        (match slot_wme t ~goal:g.gid ~role with
-        | Some w -> internal_remove t w
-        | None -> ());
-        (* consume the slot's preferences *)
-        List.iter (fun (_, w) -> internal_remove t w) (prefs_for t ~goal:g.gid ~role)
+        Option.iter (internal_remove t) (value_wme (slot_wmes t ~goal:g.gid ~role));
+        List.iter (internal_remove t) (List.rev prefs.(i))
       end)
     roles
 
@@ -638,8 +671,9 @@ let decision_phase_unmetered t =
        (fun g ->
          List.iteri
            (fun role_idx role ->
-             let votes = prefs_for t ~goal:g.gid ~role in
-             let current = slot t ~goal:g.gid ~role in
+             let wmes = slot_wmes t ~goal:g.gid ~role in
+             let votes = votes_in wmes in
+             let current = Option.map (fun w -> w.Wme.fields.(2)) (value_wme wmes) in
              match Prefs.decide (List.map fst votes), current with
              | Prefs.Winner v, Some cur when Value.equal v cur -> ()
              | Prefs.Winner v, _ ->
@@ -726,8 +760,6 @@ let run t =
       match t.monitor with Some f -> f t.decisions | None -> ()
     end
   done;
-  let take n l = List.filteri (fun i _ -> i < List.length l - n) l in
-  ignore take;
   let since n l = List.rev l |> List.filteri (fun i _ -> i >= n) in
   {
     decisions = t.decisions - dec0;

@@ -122,4 +122,7 @@ val flush_match : t -> unit
     before diffing network memories against working memory. *)
 
 val slot : t -> goal:Sym.t -> role:string -> Value.t option
-(** Current context-slot value, if decided. *)
+(** Current value of a context slot, if decided. [role] is one of
+    ["problem-space"], ["state"] and ["operator"]; for any other role the
+    answer is [None]. Reads the decision index, which every working
+    memory add and remove keeps current, so it costs no scan. *)

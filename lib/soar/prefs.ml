@@ -49,7 +49,9 @@ let decide votes =
     List.filter (fun v -> not (List.exists (Value.equal v) rejected)) acceptable
   in
   (* better/worse: v dominated when some candidate w is better than v and
-     v is not better than w (preference cycles leave both standing). *)
+     v is not better than w (preference cycles leave both standing). A
+     cycle through three or more candidates can dominate every one of
+     them; then none is pruned. *)
   let better_pairs =
     List.filter_map
       (fun v ->
@@ -62,7 +64,7 @@ let decide votes =
   let is_better a b =
     List.exists (fun (x, y) -> Value.equal x a && Value.equal y b) better_pairs
   in
-  let cands =
+  let undominated =
     List.filter
       (fun v ->
         not
@@ -72,6 +74,7 @@ let decide votes =
              cands))
       cands
   in
+  let cands = if undominated <> [] then undominated else cands in
   let best = List.filter (fun v -> List.exists (Value.equal v) (values_with Best)) cands in
   let cands = if best <> [] then List.sort_uniq Value.compare best else cands in
   let worsts = values_with Worst in

@@ -35,7 +35,8 @@ type verdict =
 val decide : vote list -> verdict
 (** Reduce one slot's votes:
     candidates = acceptable − rejected; better/worse prune dominated
-    candidates (cycles leave both); best restricts to best-marked
+    candidates (cycles leave both, and a cycle that would prune every
+    candidate prunes none); best restricts to best-marked
     candidates when any survive; worst-marked candidates are dropped
     when a non-worst candidate survives; a multi-candidate remainder is
     a {!Winner} (the least value) only if every pair is covered by an

@@ -59,6 +59,19 @@ let test_prefs_better_cycle_stays_tie () =
          vote ~referent:(v "a") (v "b") Prefs.Better;
        ])
 
+let test_prefs_three_cycle_stays_tie () =
+  Alcotest.check verdict_t "a cycle through every candidate prunes none"
+    (Prefs.Tie [ v "a"; v "b"; v "c" ])
+    (Prefs.decide
+       [
+         vote (v "a") Prefs.Acceptable;
+         vote (v "b") Prefs.Acceptable;
+         vote (v "c") Prefs.Acceptable;
+         vote ~referent:(v "b") (v "a") Prefs.Better;
+         vote ~referent:(v "c") (v "b") Prefs.Better;
+         vote ~referent:(v "a") (v "c") Prefs.Better;
+       ])
+
 let test_prefs_best () =
   Alcotest.check verdict_t "best dominates" (Prefs.Winner (v "b"))
     (Prefs.decide
@@ -157,6 +170,63 @@ let test_counting_slots () =
     (Agent.slot agent ~goal:g ~role:"problem-space" = Some (v "counting"));
   Alcotest.(check bool) "state decided" true
     (Agent.slot agent ~goal:g ~role:"state" <> None)
+
+(* Soar working memory is a set: an augmentation already present is not
+   added again; one that differs in a field is. *)
+let test_wm_is_a_set () =
+  let agent = make_counting_agent () in
+  let wm = Agent.wm agent in
+  let id = Agent.new_id agent "h" in
+  let add value = Agent.add_triple agent ~cls:"hand" ~id ~attr:"state" ~value in
+  let n0 = Wm.size wm in
+  add (v "free");
+  Alcotest.(check int) "added" (n0 + 1) (Wm.size wm);
+  add (v "free");
+  Alcotest.(check int) "identical augmentation found" (n0 + 1) (Wm.size wm);
+  add (v "busy");
+  Alcotest.(check int) "different value is missing, so added" (n0 + 2) (Wm.size wm)
+
+(* After every decision of every workload, [Agent.slot] — read from the
+   decision index — agrees with a scan of working memory: each context
+   slot holds the value of its one [(goal ^role value)] wme, or none. *)
+let test_decision_index_agrees () =
+  let open Psme_workloads in
+  let roles = [ "problem-space"; "state"; "operator" ] in
+  let check name agent decision =
+    let values = Hashtbl.create 16 and goals = Hashtbl.create 16 in
+    Wm.iter
+      (fun w ->
+        match w.Wme.fields with
+        | [| Value.Sym g; Value.Sym r; value |] when Sym.name w.Wme.cls = "goal" ->
+          Hashtbl.replace goals g ();
+          if List.mem (Sym.name r) roles then Hashtbl.add values (g, Sym.name r) value
+        | _ -> ())
+      (Agent.wm agent);
+    Hashtbl.iter
+      (fun g () ->
+        List.iter
+          (fun role ->
+            match Hashtbl.find_all values (g, role), Agent.slot agent ~goal:g ~role with
+            | [], None -> ()
+            | [ x ], Some y when Value.equal x y -> ()
+            | _ ->
+              Alcotest.failf "%s decision %d: slot %s of %s disagrees with working memory"
+                name decision role (Sym.name g))
+          roles)
+      goals
+  in
+  List.iter
+    (fun (name, make) ->
+      let agent : Agent.t = make () in
+      Agent.set_monitor agent (check name agent);
+      let s = Agent.run agent in
+      Alcotest.(check bool) (name ^ " made decisions") true (s.Agent.decisions > 0))
+    [
+      ("eight-puzzle", fun () -> Eight_puzzle.workload.Workload.make ());
+      ("strips", fun () -> Strips.workload.Workload.make ());
+      ("cypress", fun () -> Cypress.workload.Workload.make ());
+      ("io-stream", fun () -> Io_stream.make_agent ());
+    ]
 
 (* --- tie impasse, evaluation subgoal, chunking ------------------------ *)
 
@@ -361,11 +431,15 @@ let suite =
     Alcotest.test_case "prefs: tie" `Quick test_prefs_tie;
     Alcotest.test_case "prefs: better resolves" `Quick test_prefs_better_resolves;
     Alcotest.test_case "prefs: better cycle" `Quick test_prefs_better_cycle_stays_tie;
+    Alcotest.test_case "prefs: three-cycle" `Quick test_prefs_three_cycle_stays_tie;
     Alcotest.test_case "prefs: best" `Quick test_prefs_best;
     Alcotest.test_case "prefs: worst" `Quick test_prefs_worst_avoided;
     Alcotest.test_case "prefs: indifferent" `Quick test_prefs_indifferent_breaks_tie;
     Alcotest.test_case "counting runs to halt" `Quick test_counting_runs_to_halt;
     Alcotest.test_case "counting decides slots" `Quick test_counting_slots;
+    Alcotest.test_case "working memory is a set" `Quick test_wm_is_a_set;
+    Alcotest.test_case "decision index agrees with working memory" `Quick
+      test_decision_index_agrees;
     Alcotest.test_case "tie creates subgoal and resolves" `Quick
       test_tie_creates_subgoal_and_resolves;
     Alcotest.test_case "tie learns chunk" `Quick test_tie_learns_chunk;
