@@ -65,15 +65,16 @@ bench-gate:
 
 # Same-hour A/B of the working tree against BASE on BENCHMARK.json's
 # workloads: PAIRS pairs per workload, alternating which side runs
-# first; every run to $(AB_DIR)/ab.jsonl, then medians, quartiles and
-# win counts per workload and metric. Extra flags go in AB_ARGS, e.g.
-#   make perfbench-ab BASE=HEAD~1 PAIRS=3 AB_ARGS='--workload io-stream --trace 1'
+# first; every run to _perfbench-ab/ab.jsonl, then medians, quartiles
+# and win counts per workload and metric. TRACE=1 adds the per-layer
+# metrics, e.g.
+#   make perfbench-ab BASE=HEAD~1 PAIRS=3 TRACE=1
 PAIRS ?= 10
-AB_DIR ?= _perfbench-ab
+TRACE ?= 0
 perfbench-ab:
-	@test -n "$(BASE)" || { echo "usage: make perfbench-ab BASE=<rev> [PAIRS=10]"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make perfbench-ab BASE=<rev> [PAIRS=10] [TRACE=0|1]"; exit 2; }
 	dune build tools/perfbench_ab.exe
-	./_build/default/tools/perfbench_ab.exe --base $(BASE) --pairs $(PAIRS) --dir $(AB_DIR) $(AB_ARGS)
+	./_build/default/tools/perfbench_ab.exe --base $(BASE) --pairs $(PAIRS) --trace $(TRACE)
 
 clean:
 	dune clean

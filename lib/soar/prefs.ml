@@ -49,9 +49,7 @@ let decide votes =
     List.filter (fun v -> not (List.exists (Value.equal v) rejected)) acceptable
   in
   (* better/worse: v dominated when some candidate w is better than v and
-     v is not better than w (preference cycles leave both standing). A
-     cycle through three or more candidates can dominate every one of
-     them; then none is pruned. *)
+     v is not better than w (preference cycles leave both standing). *)
   let better_pairs =
     List.filter_map
       (fun v ->
@@ -64,17 +62,39 @@ let decide votes =
   let is_better a b =
     List.exists (fun (x, y) -> Value.equal x a && Value.equal y b) better_pairs
   in
+  let dominates w v = (not (Value.equal v w)) && is_better w v && not (is_better v w) in
   let undominated =
-    List.filter
-      (fun v ->
-        not
-          (List.exists
-             (fun w ->
-               (not (Value.equal v w)) && is_better w v && not (is_better v w))
-             cands))
-      cands
+    List.filter (fun v -> not (List.exists (fun w -> dominates w v) cands)) cands
   in
-  let cands = if undominated <> [] then undominated else cands in
+  (* A cycle through three or more candidates can leave every one of them
+     dominated. Then keep the candidates whose cycle no candidate outside
+     it dominates: v stays when every w that reaches v is reached from v. *)
+  let reached_from a =
+    let rec go seen = function
+      | [] -> seen
+      | x :: rest ->
+        let next =
+          List.filter
+            (fun y -> dominates x y && not (List.exists (Value.equal y) seen))
+            cands
+        in
+        go (next @ seen) (next @ rest)
+    in
+    go [ a ] [ a ]
+  in
+  let cands =
+    if undominated <> [] then undominated
+    else
+      List.filter
+        (fun v ->
+          let from_v = reached_from v in
+          List.for_all
+            (fun w ->
+              (not (List.exists (Value.equal v) (reached_from w)))
+              || List.exists (Value.equal w) from_v)
+            cands)
+        cands
+  in
   let best = List.filter (fun v -> List.exists (Value.equal v) (values_with Best)) cands in
   let cands = if best <> [] then List.sort_uniq Value.compare best else cands in
   let worsts = values_with Worst in

@@ -35,8 +35,9 @@ type verdict =
 val decide : vote list -> verdict
 (** Reduce one slot's votes:
     candidates = acceptable − rejected; better/worse prune dominated
-    candidates (cycles leave both, and a cycle that would prune every
-    candidate prunes none); best restricts to best-marked
+    candidates (two-way cycles leave both; when a longer cycle leaves
+    every candidate dominated, the cycles that no outside candidate
+    dominates survive); best restricts to best-marked
     candidates when any survive; worst-marked candidates are dropped
     when a non-worst candidate survives; a multi-candidate remainder is
     a {!Winner} (the least value) only if every pair is covered by an

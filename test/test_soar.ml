@@ -70,6 +70,19 @@ let test_prefs_three_cycle_stays_tie () =
          vote ~referent:(v "b") (v "a") Prefs.Better;
          vote ~referent:(v "c") (v "b") Prefs.Better;
          vote ~referent:(v "a") (v "c") Prefs.Better;
+       ]);
+  Alcotest.check verdict_t "a candidate below the cycle is still pruned"
+    (Prefs.Tie [ v "a"; v "b"; v "c" ])
+    (Prefs.decide
+       [
+         vote (v "a") Prefs.Acceptable;
+         vote (v "b") Prefs.Acceptable;
+         vote (v "c") Prefs.Acceptable;
+         vote (v "d") Prefs.Acceptable;
+         vote ~referent:(v "b") (v "a") Prefs.Better;
+         vote ~referent:(v "c") (v "b") Prefs.Better;
+         vote ~referent:(v "a") (v "c") Prefs.Better;
+         vote ~referent:(v "d") (v "a") Prefs.Better;
        ])
 
 let test_prefs_best () =

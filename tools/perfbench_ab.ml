@@ -1,34 +1,38 @@
 (* Same-hour A/B of the working tree against an older revision on the
    repository benchmark.
 
-     make perfbench-ab BASE=<rev> [PAIRS=10] [AB_ARGS='--workload io-stream']
+     make perfbench-ab BASE=<rev> [PAIRS=10] [TRACE=0|1]
 
    or directly, from the repository root:
 
      dune build tools/perfbench_ab.exe
-     ./_build/default/tools/perfbench_ab.exe --base <rev> [--pairs N]
-       [--workload NAME]... [--seconds S] [--trace 0|1] [--dir DIR]
+     ./_build/default/tools/perfbench_ab.exe --base <rev> [--pairs N] [--trace 0|1]
 
-   The base revision is exported with `git archive` into DIR/base (no
-   worktree is registered in the repository) and built there; the change
-   is the working tree. For each pair and workload, both sides run
-   BENCHMARK.json's command with the same seed (the pair number), the
+   The base revision is exported with `git archive` into
+   _perfbench-ab/base (no worktree is registered in the repository; the
+   leading underscore keeps dune from building the copy as part of the
+   working tree) and built there; the change is the working tree. For
+   each pair and every workload of BENCHMARK.json, both sides run its
+   command for its run_seconds with the same seed (the pair number), the
    side that goes first alternating from pair to pair. Every run's
-   result line goes to DIR/ab.jsonl; the summary prints, per workload and
-   metric, each side's median and quartiles and the number of pairs the
-   change won. Exit codes: 0 done (even if some runs failed; they are
-   counted), 2 usage or setup error. *)
+   result line goes to _perfbench-ab/ab.jsonl; the summary prints, per
+   workload and metric, each side's median and quartiles and the number
+   of pairs the change won. A pair in which either run failed (nonzero
+   exit or not [correct]) is left out of the summary and counted.
+   Exit codes: 0 done (even if some runs failed), 2 usage or setup error. *)
 
 module Json = Psme_obs.Json
+module Stats = Psme_support.Stats
 
 let usage msg =
   prerr_endline ("perfbench_ab: " ^ msg);
   prerr_endline
-    "usage: perfbench_ab.exe --base REV [--pairs N] [--workload NAME]... [--seconds S]\n\
-    \                        [--trace 0|1] [--dir DIR]";
+    "usage: perfbench_ab.exe --base REV [--pairs N] [--trace 0|1]";
   exit 2
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let dir = "_perfbench-ab"
 
 let run_or_die cmd =
   if Sys.command cmd <> 0 then usage ("command failed: " ^ cmd)
@@ -90,24 +94,26 @@ let result_of_output text =
   | last :: _ -> ( match Json.parse last with Ok j -> Some j | Error _ -> None)
   | [] -> None
 
-let run_one bench ~base ~dir ~side ~pair ~first ~workload ~seconds ~trace =
+let run_one bench ~base ~side ~pair ~first ~workload ~trace =
   let root = if side = "base" then Filename.concat dir "base" else "." in
   let out = Filename.concat dir "run.out" in
-  let out_abs = if Filename.is_relative out then Filename.concat (Sys.getcwd ()) out else out in
   let cmd =
     String.concat " "
       (List.map Filename.quote
          (bench.command
          @ [
              "--workload"; workload; "--seed"; string_of_int pair; "--seconds";
-             Printf.sprintf "%g" seconds; "--trace"; string_of_int trace;
+             Printf.sprintf "%g" bench.run_seconds; "--trace"; string_of_int trace;
            ]))
   in
+  (* a run that never gets to write its output must not read the last one's *)
+  if Sys.file_exists out then Sys.remove out;
   let code =
     Sys.command
-      (Printf.sprintf "cd %s && %s > %s" (Filename.quote root) cmd (Filename.quote out_abs))
+      (Printf.sprintf "cd %s && %s > %s" (Filename.quote root) cmd
+         (Filename.quote (Filename.concat (Sys.getcwd ()) out)))
   in
-  let result = result_of_output (read_file out) in
+  let result = if Sys.file_exists out then result_of_output (read_file out) else None in
   let values =
     match Option.bind result (Json.member "metrics") with
     | Some (Json.Obj kv) ->
@@ -127,7 +133,7 @@ let run_one bench ~base ~dir ~side ~pair ~first ~workload ~seconds ~trace =
         ("base", Json.Str base);
         ("first", Json.Bool first);
         ("seed", Json.Int pair);
-        ("seconds", Json.Float seconds);
+        ("seconds", Json.Float bench.run_seconds);
         ("trace", Json.Int trace);
         ("exit", Json.Int code);
         ("result", Option.value result ~default:Json.Null);
@@ -137,19 +143,13 @@ let run_one bench ~base ~dir ~side ~pair ~first ~workload ~seconds ~trace =
 
 (* --- summary ------------------------------------------------------------- *)
 
-(* Linearly interpolated quantile of a sorted array, [q] in [0, 1]. *)
-let quantile sorted q =
-  let n = Array.length sorted in
-  let x = q *. float_of_int (n - 1) in
-  let i = int_of_float x in
-  if i >= n - 1 then sorted.(n - 1)
-  else sorted.(i) +. ((x -. float_of_int i) *. (sorted.(i + 1) -. sorted.(i)))
-
 let summarize bench runs workload =
   let runs = List.filter (fun r -> r.workload = workload) runs in
   let pairs = List.sort_uniq compare (List.map (fun r -> r.pair) runs) in
-  let failed = List.length (List.filter (fun r -> not r.ok) runs) in
-  Printf.printf "\n%s: %d pairs, %d failed runs\n" workload (List.length pairs) failed;
+  let failed = List.filter (fun r -> not r.ok) runs in
+  let pairs = List.filter (fun p -> not (List.exists (fun r -> r.pair = p) failed)) pairs in
+  Printf.printf "\n%s: %d pairs summarized, %d failed runs (their pairs left out)\n" workload
+    (List.length pairs) (List.length failed);
   Printf.printf "  %-38s %-10s %-30s %-30s %9s %5s\n" "metric" "unit" "base median [q1, q3]"
     "change median [q1, q3]" "chg/base" "wins";
   let value side pair m =
@@ -170,8 +170,7 @@ let summarize bench runs workload =
       if both <> [] then begin
         let stats xs =
           let a = Array.of_list xs in
-          Array.sort compare a;
-          (quantile a 0.5, quantile a 0.25, quantile a 0.75)
+          (Stats.percentile a 50., Stats.percentile a 25., Stats.percentile a 75.)
         in
         let bm, bq1, bq3 = stats (List.map fst both) in
         let cm, cq1, cq3 = stats (List.map snd both) in
@@ -190,8 +189,7 @@ let summarize bench runs workload =
 (* --- main ------------------------------------------------------------------ *)
 
 let () =
-  let base = ref None and pairs = ref 10 and workloads = ref [] in
-  let seconds = ref None and trace = ref 0 and dir = ref "_perfbench-ab" in
+  let base = ref None and pairs = ref 10 and trace = ref 0 in
   let int_arg flag v =
     match int_of_string_opt v with Some n -> n | None -> usage (flag ^ ": not an integer")
   in
@@ -199,14 +197,7 @@ let () =
     | [] -> ()
     | "--base" :: v :: rest -> base := Some v; parse rest
     | "--pairs" :: v :: rest -> pairs := int_arg "--pairs" v; parse rest
-    | "--workload" :: v :: rest -> workloads := !workloads @ [ v ]; parse rest
-    | "--seconds" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some s when s > 0. -> seconds := Some s
-      | _ -> usage "--seconds: not a positive number");
-      parse rest
     | "--trace" :: (("0" | "1") as v) :: rest -> trace := int_of_string v; parse rest
-    | "--dir" :: v :: rest -> dir := v; parse rest
     | arg :: _ -> usage ("unexpected argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -214,12 +205,6 @@ let () =
   if !pairs < 1 then usage "--pairs must be at least 1";
   if not (Sys.file_exists "BENCHMARK.json") then usage "run from the repository root";
   let bench = load_bench "BENCHMARK.json" in
-  let workloads = if !workloads = [] then bench.workloads else !workloads in
-  List.iter
-    (fun w -> if not (List.mem w bench.workloads) then usage ("unknown workload " ^ w))
-    workloads;
-  let seconds = Option.value !seconds ~default:bench.run_seconds in
-  let dir = !dir in
   let base_dir = Filename.concat dir "base" in
   run_or_die (Printf.sprintf "rm -rf %s && mkdir -p %s" (Filename.quote base_dir)
                 (Filename.quote base_dir));
@@ -241,8 +226,7 @@ let () =
         List.iteri
           (fun i side ->
             let r, line =
-              run_one bench ~base ~dir ~side ~pair ~first:(i = 0) ~workload ~seconds
-                ~trace:!trace
+              run_one bench ~base ~side ~pair ~first:(i = 0) ~workload ~trace:!trace
             in
             output_string oc (line ^ "\n");
             flush oc;
@@ -250,9 +234,9 @@ let () =
               (if r.ok then "" else " FAILED");
             runs := r :: !runs)
           sides)
-      workloads
+      bench.workloads
   done;
   close_out oc;
   Printf.printf "A/B: base %s vs the working tree, %g s per run, --trace %d; runs in %s\n"
-    base seconds !trace jsonl;
-  List.iter (summarize bench (List.rev !runs)) workloads
+    base bench.run_seconds !trace jsonl;
+  List.iter (summarize bench (List.rev !runs)) bench.workloads
