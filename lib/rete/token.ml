@@ -69,19 +69,20 @@ let wmes t =
     a
   end
 
+(* top-level, so that a field read allocates no closure over [i] *)
+let rec back node i =
+  match node.rep with
+  | Flat -> node.arr.(i)
+  | Snoc (parent, w) -> if i = node.len - 1 then w else back parent i
+
 let wme t i =
   if i < 0 || i >= t.len then invalid_arg "Token.wme";
   if Array.length t.arr = t.len then t.arr.(i)
-  else begin
+  else if t.len - i <= 4 then
     (* walk back from the tail; joins mostly touch recent slots, and
        stored tokens get materialized on their first full scan *)
-    let rec back node =
-      match node.rep with
-      | Flat -> node.arr.(i)
-      | Snoc (parent, w) -> if i = node.len - 1 then w else back parent
-    in
-    if t.len - i <= 4 then back t else (wmes t).(i)
-  end
+    back t i
+  else (wmes t).(i)
 
 let concat a b =
   if b.len = 0 then a
