@@ -34,13 +34,13 @@ let default =
     fire_us = 120.;
   }
 
-let task_cost p kind (o : Runtime.outcome) =
+let task_cost p (o : Runtime.outcome) =
   let base =
-    match kind with
-    | Network.Entry -> p.entry_base_us
-    | Network.Pnode _ -> p.pnode_base_us
-    | Network.Join _ | Network.Neg _ | Network.Ncc _ | Network.Ncc_partner _
-    | Network.Bjoin _ -> p.two_input_base_us
+    match o.Runtime.cost_class with
+    | Runtime.Entry_task -> p.entry_base_us
+    | Runtime.Pnode_task -> p.pnode_base_us
+    | Runtime.Two_input_task -> p.two_input_base_us
+    | Runtime.Absorbed_task -> 0.
   in
   base
   +. (p.per_scan_us *. float_of_int o.Runtime.scanned)

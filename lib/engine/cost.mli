@@ -25,5 +25,9 @@ type params = {
 
 val default : params
 
-val task_cost : params -> Psme_rete.Network.kind -> Psme_rete.Runtime.outcome -> float
-(** Cost in µs of one executed activation. *)
+val task_cost : params -> Psme_rete.Runtime.outcome -> float
+(** Cost in µs of one executed activation: the base of the outcome's
+    cost class plus its scan and child increments. An absorbed task (its
+    node was excised while it was queued) ran no program, scanned
+    nothing and emitted nothing, so it is charged 0 µs; the simulator
+    still charges the queue operation that popped it. *)

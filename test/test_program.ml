@@ -96,10 +96,51 @@ let test_excise_clears_programs () =
     "excise removed compiled programs" true
     (Program.compiled_count net < c1)
 
+(* --- a task queued for an excised node ----------------------------------- *)
+
+(* A task whose node was excised while it sat in a queue finds an empty
+   jumptable slot and is absorbed (DESIGN §4b) — by every engine, not
+   only by Runtime.exec: no engine looks the node up. The absorbed task
+   counts as one task, scans and emits nothing, and is charged 0 µs. *)
+let test_excised_task_absorbed () =
+  let schema = blocks_schema () in
+  let net = Network.create schema in
+  ignore
+    (Build.add_production net
+       (parse schema "(p doomed (block ^name <x>) (block ^on <x>) --> (write d))"));
+  let join =
+    Network.fold_nodes net ~init:None ~f:(fun acc n ->
+        match (acc, n.Network.kind) with
+        | None, Network.Join _ -> Some n.Network.id
+        | _ -> acc)
+    |> Option.get
+  in
+  Build.excise_production net (Sym.intern "doomed");
+  let w = Wme.make ~cls:(Sym.intern "block") ~fields:(Array.make 4 Value.nil) ~timetag:1 in
+  let task = Task.Right { node = join; flag = Task.Add; wme = w } in
+  let check engine (s : Cycle.stats) =
+    Alcotest.(check int) (engine ^ ": one task") 1 s.Cycle.tasks;
+    Alcotest.(check int) (engine ^ ": nothing scanned") 0 s.Cycle.scanned;
+    Alcotest.(check int) (engine ^ ": nothing emitted") 0 s.Cycle.emitted
+  in
+  let serial = Serial.run_tasks net [ task ] in
+  check "serial" serial;
+  Alcotest.(check (float 0.)) "serial: charged 0 us" 0. serial.Cycle.serial_us;
+  check "sim"
+    (Sim.run_tasks
+       { Sim.procs = 4; queues = Parallel.Multiple_queues; collect_trace = false }
+       net [ task ]);
+  check "domains"
+    (Parallel.run_tasks
+       { Parallel.processes = 2; queues = Parallel.Multiple_queues }
+       net [ task ])
+
 let suite =
   [
     Alcotest.test_case "jumptable grows in place on chunk splice" `Quick
       test_jumptable_grows_in_place;
     Alcotest.test_case "excise clears compiled programs" `Quick
       test_excise_clears_programs;
+    Alcotest.test_case "engines absorb a task for an excised node" `Quick
+      test_excised_task_absorbed;
   ]
