@@ -41,6 +41,10 @@ module VH = Hashtbl.Make (struct
   let hash (f, v) = ((f * 0x9e3779b1) lxor Value.hash v) land max_int
 end)
 
+(* Keyed by class symbol without [caml_hash]: every wme change probes
+   it once. *)
+module SH = Hashtbl.Make (Sym)
+
 (* Each chain level keeps, alongside the plain child list, a dispatch
    table for its [A_const] children: a wme can match at most one
    constant test per field, so one hash probe per distinct field
@@ -71,11 +75,15 @@ and level = {
 and amem = {
   mid : int;
   mutable succs : int list;  (* reverse registration order *)
+  mutable order : int array option;
+      (* [succs] in registration order, built at first use after a
+         change: a build that registers thousands of successors pays
+         for one array per memory, not one per registration *)
 }
 
 type t = {
   alloc_id : unit -> int;
-  roots : (Sym.t, root) Hashtbl.t;
+  roots : root SH.t;  (* class -> its discrimination tree *)
   mems : (int, amem) Hashtbl.t;
   chains : (int, Sym.t * atest list) Hashtbl.t;
       (* amem id -> the class and test chain that feeds it (analysis
@@ -108,19 +116,19 @@ let level_find lvl test =
     List.find_opt (fun c -> atest_equal c.test test) lvl.others
 
 let create ~alloc_id =
-  { alloc_id; roots = Hashtbl.create 64; mems = Hashtbl.create 64;
+  { alloc_id; roots = SH.create 64; mems = Hashtbl.create 64;
     chains = Hashtbl.create 64; n_nodes = 0; activations = 0 }
 
 let get_root t cls =
-  match Hashtbl.find_opt t.roots cls with
+  match SH.find_opt t.roots cls with
   | Some r -> r
   | None ->
     let r = { top_children = level_create (); top_mem = None } in
-    Hashtbl.replace t.roots cls r;
+    SH.replace t.roots cls r;
     r
 
 let new_mem t =
-  let m = { mid = t.alloc_id (); succs = [] } in
+  let m = { mid = t.alloc_id (); succs = []; order = None } in
   Hashtbl.replace t.mems m.mid m;
   t.n_nodes <- t.n_nodes + 1;
   m
@@ -161,19 +169,36 @@ let add_chain t ~cls tests =
 
 let add_successor t ~amem ~node =
   let m = Hashtbl.find t.mems amem in
-  if not (List.mem node m.succs) then m.succs <- node :: m.succs
+  if not (List.mem node m.succs) then begin
+    m.succs <- node :: m.succs;
+    m.order <- None
+  end
 
 let remove_successor t ~node =
-  Hashtbl.iter (fun _ m -> m.succs <- List.filter (fun i -> i <> node) m.succs) t.mems
+  Hashtbl.iter
+    (fun _ m ->
+      if List.mem node m.succs then begin
+        m.succs <- List.filter (fun i -> i <> node) m.succs;
+        m.order <- None
+      end)
+    t.mems
 
-let matching_amems t w f =
+let successor_array m =
+  match m.order with
+  | Some a -> a
+  | None ->
+    let a = Array.of_list (List.rev m.succs) in
+    m.order <- Some a;
+    a
+
+let matching_successors t w f =
   let count = ref 0 in
-  (match Hashtbl.find_opt t.roots w.Wme.cls with
+  (match SH.find_opt t.roots w.Wme.cls with
   | None -> ()
   | Some root ->
-    (match root.top_mem with Some m -> f m.mid | None -> ());
+    (match root.top_mem with Some m -> f (successor_array m) | None -> ());
     let rec expand node =
-      (match node.mem with Some m -> f m.mid | None -> ());
+      (match node.mem with Some m -> f (successor_array m) | None -> ());
       walk node.children
     and walk lvl =
       if lvl.size > 0 then begin
@@ -201,7 +226,7 @@ let matching_amems t w f =
   t.activations <- t.activations + !count;
   !count
 
-let successors t ~amem = List.rev (Hashtbl.find t.mems amem).succs
+let successors t ~amem = Array.to_list (successor_array (Hashtbl.find t.mems amem))
 
 let amems t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.mems [] |> List.sort compare

@@ -51,14 +51,16 @@ val add_successor : t -> amem:int -> node:int -> unit
 val remove_successor : t -> node:int -> unit
 (** Unregister a beta node from every alpha memory (production excise). *)
 
-val matching_amems : t -> Wme.t -> (int -> unit) -> int
-(** Apply the function to each alpha memory the wme reaches; returns the
-    number of constant-test node activations performed (for the cost
-    model). [A_const] siblings at each level are resolved through a
-    per-level [(field, value)] hash dispatch rather than tested one by
-    one, but the activation count still charges every sibling of an
-    expanded node and memories are emitted in the same order as the
-    undispatched depth-first walk. *)
+val matching_successors : t -> Wme.t -> (int array -> unit) -> int
+(** Apply the function to the successors (the beta nodes fed on their
+    right input, in registration order) of each alpha memory the wme
+    reaches; returns the number of constant-test node activations
+    performed (for the cost model). [A_const] siblings at each level are
+    resolved through a per-level [(field, value)] hash dispatch rather
+    than tested one by one, but the activation count still charges every
+    sibling of an expanded node and memories are visited in the same
+    order as the undispatched depth-first walk. The arrays are shared
+    with the memories: do not mutate them. *)
 
 val successors : t -> amem:int -> int list
 (** Beta nodes fed by this alpha memory, in registration order. *)
