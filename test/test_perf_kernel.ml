@@ -368,6 +368,93 @@ let test_workload_equivalence () =
         ])
     workloads
 
+(* --- allocation budget of one activation --------------------------------- *)
+
+(* Minor words a join activation allocates through [Runtime.exec]. The
+   join has one equality test and three inequality residuals; its left
+   memory is empty in the first case, and its right memory holds one
+   passing wme in the second. While the node programs ran their
+   line-lock section as a closure through [Fun.protect], reported the
+   access as a record in a list, bumped shared counters and probed a
+   polymorphic index, the first case allocated 181 words and the second
+   151 (OCaml 5.1). The bounds are half of that, so a per-activation
+   closure or list cannot creep back unnoticed; today the two cases
+   allocate about 40 and 60 words. What is left: the outcome record, the
+   memory item and its bucket chain, and in the second case the staged
+   test, one match cons, the extended token, its task and the children
+   array. *)
+let join_fixture () =
+  let schema, net =
+    Fixtures.network_of
+      ~config:{ Network.default_config with Network.lines = 16 }
+      {|(p kscan (block ^name <x> ^color <c> ^on <o> ^state <s>)
+                 (block ^on <x> ^name <> <o> ^color <> <c> ^state <> <s>)
+                 --> (write j))|}
+  in
+  let node =
+    Network.fold_nodes net ~init:None ~f:(fun acc n ->
+        match (acc, n.Network.kind) with
+        | None, Network.Join _ -> Some n.Network.id
+        | _ -> acc)
+    |> Option.get
+  in
+  let block tag pairs =
+    Wme.make ~cls:(Sym.intern "block")
+      ~fields:
+        (Fixtures.fields schema "block"
+           (List.map (fun (a, v) -> (a, Fixtures.sym v)) pairs))
+      ~timetag:tag
+  in
+  (net, node, block)
+
+(* mean minor words of [f], which returns the words it counted, over
+   [n] calls after one warm-up call *)
+let mean_words f =
+  ignore (f ());
+  let n = 1000 in
+  let total = ref 0. in
+  for _ = 1 to n do
+    total := !total +. f ()
+  done;
+  !total /. float_of_int n
+
+let test_activation_allocation () =
+  let net, node, block = join_fixture () in
+  let w = block 1 [ ("name", "rn"); ("color", "rc"); ("on", "kb"); ("state", "rs") ] in
+  let add = Task.Right { node; flag = Task.Add; wme = w } in
+  let del = Task.Right { node; flag = Task.Delete; wme = w } in
+  let null_pair =
+    mean_words (fun () ->
+        let before = Gc.minor_words () in
+        ignore (Runtime.exec net add);
+        ignore (Runtime.exec net del);
+        Gc.minor_words () -. before)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "null right add+delete pair: %.0f words <= 90" null_pair)
+    true (null_pair <= 90.);
+  let net, node, block = join_fixture () in
+  let r = block 1 [ ("name", "rn"); ("color", "rc"); ("on", "kb"); ("state", "rs") ] in
+  ignore (Runtime.exec net (Task.Right { node; flag = Task.Add; wme = r }));
+  let token =
+    Token.singleton
+      (block 2 [ ("name", "kb"); ("color", "lc"); ("on", "lo"); ("state", "ls") ])
+  in
+  let ladd = Task.Left { node; flag = Task.Add; token } in
+  let ldel = Task.Left { node; flag = Task.Delete; token } in
+  let one_match =
+    mean_words (fun () ->
+        let before = Gc.minor_words () in
+        let o = Runtime.exec net ladd in
+        let words = Gc.minor_words () -. before in
+        if Array.length o.Runtime.children <> 1 then Alcotest.fail "expected one match";
+        ignore (Runtime.exec net ldel);
+        words)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "left activation with one match: %.0f words <= 75" one_match)
+    true (one_match <= 75.)
+
 let suite =
   [
     Alcotest.test_case "deque: owner LIFO" `Quick test_deque_owner_lifo;
@@ -383,6 +470,8 @@ let suite =
       test_memory_contention;
     Alcotest.test_case "parallel: deque run race-free" `Quick
       test_parallel_trace_race_free;
+    Alcotest.test_case "runtime: activation allocation budget" `Quick
+      test_activation_allocation;
     Alcotest.test_case "workloads: serial/parallel/sim equivalence" `Slow
       test_workload_equivalence;
   ]
