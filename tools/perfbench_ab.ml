@@ -17,8 +17,10 @@
    side that goes first alternating from pair to pair. Every run's
    result line goes to _perfbench-ab/ab.jsonl; the summary prints, per
    workload and metric, each side's median and quartiles and the number
-   of pairs the change won. A pair in which either run failed (nonzero
-   exit or not [correct]) is left out of the summary and counted.
+   of pairs the change won, and for each end-to-end metric a verdict
+   from BENCHMARK.json's [better] and [bound] (see [verdict]). A pair in
+   which either run failed (nonzero exit or not [correct]) is left out
+   of the summary and counted.
    Exit codes: 0 done (even if some runs failed), 2 usage or setup error. *)
 
 module Json = Psme_obs.Json
@@ -39,7 +41,12 @@ let run_or_die cmd =
 
 (* --- BENCHMARK.json ------------------------------------------------------ *)
 
-type metric = { name : string; unit_ : string; higher_better : bool }
+type metric = {
+  name : string;
+  unit_ : string;
+  higher_better : bool;
+  bound : float option;  (** end-to-end metrics only *)
+}
 
 type bench = {
   command : string list;
@@ -64,6 +71,7 @@ let load_bench path =
       name = str (field "name" j);
       unit_ = str (field "unit" j);
       higher_better = str (field "better" j) = "higher";
+      bound = Option.bind (Json.member "bound" j) Json.to_float_opt;
     }
   in
   {
@@ -143,6 +151,44 @@ let run_one bench ~base ~side ~pair ~first ~workload ~trace =
 
 (* --- summary ------------------------------------------------------------- *)
 
+type side_stats = { med : float; q1 : float; q3 : float; lo : float; hi : float }
+
+let side_stats xs =
+  let a = Array.of_list xs in
+  {
+    med = Stats.percentile a 50.;
+    q1 = Stats.percentile a 25.;
+    q3 = Stats.percentile a 75.;
+    lo = Array.fold_left Float.min infinity a;
+    hi = Array.fold_left Float.max neg_infinity a;
+  }
+
+(* The verdict on an end-to-end metric, checked in this order:
+   - gain: the change wins at least 9 in 10 pairs, and the medians
+     differ (in the change's favour) by more than the base's quartile
+     distance;
+   - regressed: the change's median is worse than the base's by more than
+     [bound] (a share of the base's median);
+   - unresolved: either side's quartile distance over its median exceeds
+     [bound], and not every change run beats every base run;
+   - within bound otherwise. *)
+let verdict m bound ~wins ~pairs b c =
+  let better x y = if m.higher_better then x > y else x < y in
+  let spread s =
+    if s.med = 0. then if s.q3 = s.q1 then 0. else infinity
+    else (s.q3 -. s.q1) /. Float.abs s.med
+  in
+  let worse_limit =
+    if m.higher_better then b.med *. (1. -. bound) else b.med *. (1. +. bound)
+  in
+  let all_beat = if m.higher_better then c.lo > b.hi else c.hi < b.lo in
+  if 10 * wins >= 9 * pairs && better c.med b.med
+     && Float.abs (c.med -. b.med) > b.q3 -. b.q1
+  then "gain"
+  else if better worse_limit c.med then "regressed"
+  else if (spread b > bound || spread c > bound) && not all_beat then "unresolved"
+  else "within bound"
+
 let summarize bench runs workload =
   let runs = List.filter (fun r -> r.workload = workload) runs in
   let pairs = List.sort_uniq compare (List.map (fun r -> r.pair) runs) in
@@ -150,8 +196,8 @@ let summarize bench runs workload =
   let pairs = List.filter (fun p -> not (List.exists (fun r -> r.pair = p) failed)) pairs in
   Printf.printf "\n%s: %d pairs summarized, %d failed runs (their pairs left out)\n" workload
     (List.length pairs) (List.length failed);
-  Printf.printf "  %-38s %-10s %-30s %-30s %9s %5s\n" "metric" "unit" "base median [q1, q3]"
-    "change median [q1, q3]" "chg/base" "wins";
+  Printf.printf "  %-38s %-10s %-30s %-30s %9s %5s  %s\n" "metric" "unit"
+    "base median [q1, q3]" "change median [q1, q3]" "chg/base" "wins" "verdict";
   let value side pair m =
     List.find_map
       (fun r -> if r.side = side && r.pair = pair then List.assoc_opt m.name r.values else None)
@@ -168,21 +214,20 @@ let summarize bench runs workload =
           pairs
       in
       if both <> [] then begin
-        let stats xs =
-          let a = Array.of_list xs in
-          (Stats.percentile a 50., Stats.percentile a 25., Stats.percentile a 75.)
-        in
-        let bm, bq1, bq3 = stats (List.map fst both) in
-        let cm, cq1, cq3 = stats (List.map snd both) in
+        let b = side_stats (List.map fst both) and c = side_stats (List.map snd both) in
         let wins =
           List.length
             (List.filter (fun (b, c) -> if m.higher_better then c > b else c < b) both)
         in
-        let cell (med, q1, q3) = Printf.sprintf "%.6g [%.6g, %.6g]" med q1 q3 in
-        Printf.printf "  %-38s %-10s %-30s %-30s %9s %2d/%-2d\n" m.name m.unit_
-          (cell (bm, bq1, bq3)) (cell (cm, cq1, cq3))
-          (if bm = 0. then "-" else Printf.sprintf "%.4f" (cm /. bm))
-          wins (List.length both)
+        let pairs = List.length both in
+        let cell s = Printf.sprintf "%.6g [%.6g, %.6g]" s.med s.q1 s.q3 in
+        Printf.printf "  %-38s %-10s %-30s %-30s %9s %2d/%-2d  %s\n" m.name m.unit_
+          (cell b) (cell c)
+          (if b.med = 0. then "-" else Printf.sprintf "%.4f" (c.med /. b.med))
+          wins pairs
+          (match m.bound with
+          | Some bound -> verdict m bound ~wins ~pairs b c
+          | None -> "")
       end)
     bench.metrics
 
