@@ -88,10 +88,21 @@ type t51_row = {
 
 val table_5_1 : unit -> t51_row list
 
+val chunk_compiles :
+  ?net_config:Psme_rete.Network.config -> Psme_workloads.Workload.t -> (int * int) list
+(** The workload's learned chunks (from its serial learning run), added
+    in order to a fresh network built with [net_config] and loaded with
+    the workload's own productions: per chunk, the wall-clock ns of its
+    {!Psme_rete.Build.add_production} and the bytes of code it generated.
+    Each timed addition starts on an empty minor heap, so the time is
+    compilation alone, not the collections earlier allocation would
+    trigger inside it (which an agent's [ci_compile_ns] includes). *)
+
 type t52_row = {
   r52_task : string;
   r52_chunks : int;
-  r52_shared_ms : float;    (** run-time chunk compilation, sharing on *)
+  r52_shared_ms : float;
+      (** run-time chunk compilation, sharing on ({!chunk_compiles}) *)
   r52_unshared_ms : float;  (** sharing off *)
   r52_shared_bytes : int;   (** generated code (model), sharing on *)
   r52_unshared_bytes : int;

@@ -1,7 +1,7 @@
 (** Metrics registry: named counters, gauges and probes.
 
     Every subsystem that wants its internals visible registers here
-    under a dotted name ("rete.runtime.tasks",
+    under a dotted name ("engine.tasks",
     "engine.cycle.makespan_us"). {b Unit convention}: any metric whose
     value is not a plain count carries its unit as a name suffix —
     [_us] for microseconds (matching the Chrome-trace exporter, whose

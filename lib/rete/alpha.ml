@@ -87,7 +87,8 @@ type t = {
   mems : (int, amem) Hashtbl.t;
   chains : (int, Sym.t * atest list) Hashtbl.t;
       (* amem id -> the class and test chain that feeds it (analysis
-         introspection; the walk itself never consults this) *)
+         introspection and the §5.2 update's filter; the wme-change walk
+         never consults this) *)
   mutable n_nodes : int;
   mutable activations : int;
 }
@@ -225,6 +226,48 @@ let matching_successors t w f =
     walk root.top_children);
   t.activations <- t.activations + !count;
   !count
+
+(* A memory's place in the walk above: the [seq] of each chain node from
+   its class root down to the node that holds it. The walk visits
+   memories in the lexicographic order of these paths, larger [seq]
+   first and a path before its extensions (a node's memory before its
+   children's). *)
+let walk_path t (cls, tests) =
+  let rec down lvl acc = function
+    | [] -> List.rev acc
+    | test :: rest -> (
+      match level_find lvl test with
+      | Some n -> down n.children (n.seq :: acc) rest
+      | None -> invalid_arg "Alpha.walk_path: chain not in the network")
+  in
+  down (SH.find t.roots cls).top_children [] tests
+
+let rec compare_paths a b =
+  match a, b with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a', y :: b' -> if x <> y then compare y x else compare_paths a' b'
+
+let in_walk_order t amems =
+  let ranked =
+    List.filter_map
+      (fun amem ->
+        Option.map
+          (fun ((cls, _) as chain) -> (cls, walk_path t chain, amem))
+          (Hashtbl.find_opt t.chains amem))
+      amems
+    (* distinct memories never share a class and a path, so this drops
+       exactly the repeated ids *)
+    |> List.sort_uniq (fun (c1, p1, _) (c2, p2, _) ->
+           match Sym.compare c1 c2 with 0 -> compare_paths p1 p2 | c -> c)
+  in
+  List.fold_right
+    (fun (cls, _, amem) acc ->
+      match acc with
+      | (c, group) :: rest when Sym.equal c cls -> (c, amem :: group) :: rest
+      | _ -> (cls, [ amem ]) :: acc)
+    ranked []
 
 let successors t ~amem = Array.to_list (successor_array (Hashtbl.find t.mems amem))
 

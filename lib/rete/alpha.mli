@@ -62,6 +62,14 @@ val matching_successors : t -> Wme.t -> (int array -> unit) -> int
     order as the undispatched depth-first walk. The arrays are shared
     with the memories: do not mutate them. *)
 
+val in_walk_order : t -> int list -> (Sym.t * int list) list
+(** The given alpha memories, deduplicated and grouped by class, each
+    group in the order {!matching_successors} visits them for a wme of
+    that class: depth first, a node's memory before its children's,
+    siblings newest first. With {!chain_of} this lets a caller that
+    knows which memories it wants reproduce the walk's delivery order
+    without running the walk (the §5.2 update). *)
+
 val successors : t -> amem:int -> int list
 (** Beta nodes fed by this alpha memory, in registration order. *)
 
@@ -83,4 +91,6 @@ val node_count : t -> int
 (** Constant-test nodes + alpha memories currently in the network. *)
 
 val stats_activations : t -> int
-(** Cumulative constant-test activations. *)
+(** Cumulative constant-test activations of {!matching_successors}, that
+    is of wme changes: the §5.2 update filters working memory through
+    {!chain_of} and runs no walk. *)

@@ -94,8 +94,8 @@ type t = {
   creators : (int, Chunker.creator) Hashtbl.t;  (* timetag -> provenance *)
   mutable pending : (Task.flag * Wme.t) list;  (* buffered cycle changes, reversed *)
   mutable pending_results : pending_result list;
-  mutable chunk_forms : (string, unit) Hashtbl.t;  (* canonical chunk dedup *)
-  mutable chunk_count : int;
+  chunk_forms : (int, Production.t list) Hashtbl.t;
+      (* [Chunker.form_hash] -> the chunks installed under it *)
   mutable halted : bool;
   mutable output_rev : string list;
   mutable chunks_rev : chunk_info list;
@@ -287,7 +287,6 @@ let create ?(config = default_config) schema productions =
       pending = [];
       pending_results = [];
       chunk_forms = Hashtbl.create 64;
-      chunk_count = 0;
       halted = false;
       output_rev = [];
       chunks_rev = [];
@@ -388,7 +387,6 @@ let fire_instantiation t inst =
 (* Compile one chunk into the network; its state update runs batched
    with the other chunks of this elaboration cycle. *)
 let compile_chunk t grounds (result : Wme.t) =
-  t.chunk_count <- t.chunk_count + 1;
   let name = Sym.fresh "chunk-" in
   match
     Chunker.build t.schema ~is_id:(is_id t) ~name ~grounds
@@ -396,10 +394,11 @@ let compile_chunk t grounds (result : Wme.t) =
   with
   | None -> None
   | Some prod ->
-    let form = Chunker.canonical_form t.schema prod in
-    if Hashtbl.mem t.chunk_forms form then None
+    let h = Chunker.form_hash prod in
+    let same = Option.value ~default:[] (Hashtbl.find_opt t.chunk_forms h) in
+    if List.exists (Chunker.same_form prod) same then None
     else begin
-      Hashtbl.replace t.chunk_forms form ();
+      Hashtbl.replace t.chunk_forms h (prod :: same);
       let (res : Build.add_result), compile_ns =
         Clock.time_ns (fun () -> Build.add_production t.net prod)
       in

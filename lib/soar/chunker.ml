@@ -76,69 +76,107 @@ let build schema ~is_id ~name ~grounds ~results =
     | exception Invalid_argument _ -> None
   end
 
-let canonical_form schema p =
-  (* Render with variables renamed in order of first occurrence so that
-     two chunks differing only in variable names (or in construction
-     order of identical CEs) compare equal. *)
-  let rename = Hashtbl.create 16 in
-  let next = ref 0 in
-  let var v =
-    match Hashtbl.find_opt rename v with
-    | Some n -> n
-    | None ->
-      incr next;
-      let n = Printf.sprintf "x%d" !next in
-      Hashtbl.replace rename v n;
-      n
+(* --- duplicate detection ---------------------------------------------- *)
+
+(* Two chunks are duplicates when they are equal up to a consistent
+   renaming of variables. Both functions number variables in order of
+   first occurrence (LHS then RHS), so neither renders nor copies the
+   production. *)
+
+let mix h x = ((h * 31) + x) land max_int
+
+let number tbl v =
+  match Hashtbl.find_opt tbl v with
+  | Some n -> n
+  | None ->
+    let n = Hashtbl.length tbl in
+    Hashtbl.replace tbl v n;
+    n
+
+let form_hash p =
+  let vars = Hashtbl.create 16 in
+  let var h v = mix (mix h 1) (number vars v) in
+  let value h v = mix (mix h 2) (Value.hash v) in
+  let rec test h = function
+    | Cond.T_const v -> value h v
+    | Cond.T_var v -> var h v
+    | Cond.T_rel (r, Cond.Oconst c) -> value (mix (mix h 3) (Hashtbl.hash r)) c
+    | Cond.T_rel (r, Cond.Ovar v) -> var (mix (mix h 4) (Hashtbl.hash r)) v
+    | Cond.T_disj vs -> List.fold_left value (mix h 5) vs
+    | Cond.T_conj ts -> List.fold_left test (mix h 6) ts
   in
-  let buf = Buffer.create 256 in
-  let rec test_str = function
-    | Cond.T_const v -> Value.to_string v
-    | Cond.T_var v -> "<" ^ var v ^ ">"
-    | Cond.T_rel (r, Cond.Oconst c) ->
-      Printf.sprintf "(%s %s)" (rel_str r) (Value.to_string c)
-    | Cond.T_rel (r, Cond.Ovar v) -> Printf.sprintf "(%s <%s>)" (rel_str r) (var v)
-    | Cond.T_disj vs -> "<<" ^ String.concat " " (List.map Value.to_string vs) ^ ">>"
-    | Cond.T_conj ts -> "{" ^ String.concat " " (List.map test_str ts) ^ "}"
-  and rel_str = function
-    | Cond.Eq -> "="
-    | Cond.Ne -> "<>"
-    | Cond.Lt -> "<"
-    | Cond.Le -> "<="
-    | Cond.Gt -> ">"
-    | Cond.Ge -> ">="
+  let ce h (ce : Cond.ce) =
+    List.fold_left
+      (fun h (f, t) -> test (mix h f) t)
+      (mix h (Sym.hash ce.Cond.cls))
+      ce.Cond.tests
   in
-  let ce_str ce =
-    Printf.sprintf "(%s %s)" (Sym.name ce.Cond.cls)
-      (String.concat " "
-         (List.map (fun (f, t) -> Printf.sprintf "^%d %s" f (test_str t)) ce.Cond.tests))
+  let rec cond h = function
+    | Cond.Pos c -> ce (mix h 7) c
+    | Cond.Neg c -> ce (mix h 8) c
+    | Cond.Ncc g -> List.fold_left cond (mix h 9) g
   in
-  let rec cond_str = function
-    | Cond.Pos ce -> ce_str ce
-    | Cond.Neg ce -> "-" ^ ce_str ce
-    | Cond.Ncc g -> "-{" ^ String.concat " " (List.map cond_str g) ^ "}"
+  let term h = function
+    | Action.Tconst v -> value h v
+    | Action.Tvar v -> var h v
+    | Action.Tgensym prefix -> mix (mix h 10) (Hashtbl.hash prefix)
   in
-  List.iter (fun c -> Buffer.add_string buf (cond_str c)) p.Production.lhs;
-  Buffer.add_string buf "-->";
-  List.iter
-    (fun a ->
-      match a with
-      | Action.Make (cls, fields) ->
-        Buffer.add_string buf
-          (Printf.sprintf "(make %s %s)" (Sym.name cls)
-             (String.concat " "
-                (List.map
-                   (fun (f, t) ->
-                     Printf.sprintf "^%d %s" f
-                       (match t with
-                       | Action.Tconst v -> Value.to_string v
-                       | Action.Tvar v -> "<" ^ var v ^ ">"
-                       | Action.Tgensym p -> "(genatom " ^ p ^ ")"))
-                   fields)))
-      | Action.Remove i -> Buffer.add_string buf (Printf.sprintf "(remove %d)" i)
-      | Action.Modify (i, _) -> Buffer.add_string buf (Printf.sprintf "(modify %d)" i)
-      | Action.Write _ -> Buffer.add_string buf "(write)"
-      | Action.Halt -> Buffer.add_string buf "(halt)")
-    p.Production.rhs;
-  ignore schema;
-  Buffer.contents buf
+  let assigns = List.fold_left (fun h (f, t) -> term (mix h f) t) in
+  let action h = function
+    | Action.Make (cls, fields) -> assigns (mix (mix h 11) (Sym.hash cls)) fields
+    | Action.Remove i -> mix (mix h 12) i
+    | Action.Modify (i, fields) -> assigns (mix (mix h 13) i) fields
+    | Action.Write terms -> List.fold_left term (mix h 14) terms
+    | Action.Halt -> mix h 15
+  in
+  let h = List.fold_left cond 0 p.Production.lhs in
+  List.fold_left action (mix h 16) p.Production.rhs
+
+let same_form a b =
+  let va = Hashtbl.create 16 and vb = Hashtbl.create 16 in
+  let var x y = number va x = number vb y in
+  let rec list eq xs ys =
+    match xs, ys with
+    | [], [] -> true
+    | x :: xs, y :: ys -> eq x y && list eq xs ys
+    | [], _ :: _ | _ :: _, [] -> false
+  in
+  let rec test t u =
+    match t, u with
+    | Cond.T_const x, Cond.T_const y -> Value.equal x y
+    | Cond.T_var x, Cond.T_var y -> var x y
+    | Cond.T_rel (r, Cond.Oconst x), Cond.T_rel (s, Cond.Oconst y) -> r = s && Value.equal x y
+    | Cond.T_rel (r, Cond.Ovar x), Cond.T_rel (s, Cond.Ovar y) -> r = s && var x y
+    | Cond.T_disj xs, Cond.T_disj ys -> list Value.equal xs ys
+    | Cond.T_conj ts, Cond.T_conj us -> list test ts us
+    | (Cond.T_const _ | Cond.T_var _ | Cond.T_rel _ | Cond.T_disj _ | Cond.T_conj _), _ ->
+      false
+  in
+  let field eq (f, x) (g, y) = f = g && eq x y in
+  let ce (c : Cond.ce) (d : Cond.ce) =
+    Sym.equal c.Cond.cls d.Cond.cls && list (field test) c.Cond.tests d.Cond.tests
+  in
+  let rec cond c d =
+    match c, d with
+    | Cond.Pos c, Cond.Pos d | Cond.Neg c, Cond.Neg d -> ce c d
+    | Cond.Ncc g, Cond.Ncc h -> list cond g h
+    | (Cond.Pos _ | Cond.Neg _ | Cond.Ncc _), _ -> false
+  in
+  let term t u =
+    match t, u with
+    | Action.Tconst x, Action.Tconst y -> Value.equal x y
+    | Action.Tvar x, Action.Tvar y -> var x y
+    | Action.Tgensym p, Action.Tgensym q -> String.equal p q
+    | (Action.Tconst _ | Action.Tvar _ | Action.Tgensym _), _ -> false
+  in
+  let action x y =
+    match x, y with
+    | Action.Make (c, fs), Action.Make (d, gs) -> Sym.equal c d && list (field term) fs gs
+    | Action.Remove i, Action.Remove j -> i = j
+    | Action.Modify (i, fs), Action.Modify (j, gs) -> i = j && list (field term) fs gs
+    | Action.Write ts, Action.Write us -> list term ts us
+    | Action.Halt, Action.Halt -> true
+    | (Action.Make _ | Action.Remove _ | Action.Modify _ | Action.Write _ | Action.Halt), _ ->
+      false
+  in
+  list cond a.Production.lhs b.Production.lhs && list action a.Production.rhs b.Production.rhs

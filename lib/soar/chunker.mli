@@ -40,5 +40,13 @@ val build :
     become [(genatom)] terms. Returns [None] when no grounds survived
     backtracing (a chunk with an empty LHS would fire unconditionally). *)
 
-val canonical_form : Schema.t -> Production.t -> string
-(** A renaming-invariant rendering used to suppress duplicate chunks. *)
+val form_hash : Production.t -> int
+(** A hash of the production's conditions and actions with variables
+    numbered in order of first occurrence, so chunks that differ only in
+    variable (identifier) names hash alike. The name is not hashed. *)
+
+val same_form : Production.t -> Production.t -> bool
+(** Equality up to a consistent renaming of variables, comparing
+    constants with {!Psme_support.Value.equal} (so [Sym "3"] and [Int 3]
+    differ); the name is not compared. Equal productions have equal
+    {!form_hash}es. Used to suppress duplicate chunks. *)

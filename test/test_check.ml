@@ -255,6 +255,74 @@ let prop_update_state_verified_sim =
   let cfg = { Sim.procs = 5; queues = Parallel.Multiple_queues; collect_trace = false } in
   prop_update_state_verified "sim" (fun net b -> ignore (Sim.run_changes cfg net b))
 
+(* The §5.2 update as the whole alpha walk would build it: replay each
+   old parent of a new node, then push every wme through the alpha
+   network with the node-ID filter. *)
+let reference_update_tasks net wm results =
+  let first_new =
+    List.fold_left (fun a r -> min a r.Build.first_new_id) max_int results
+  in
+  let replayed =
+    List.concat_map
+      (fun r ->
+        List.concat_map
+          (fun nid ->
+            match (Network.node net nid).Network.parent with
+            | Some pid when pid < first_new ->
+              let parent = Network.node net pid in
+              let port =
+                match List.assoc_opt nid (Network.successors parent) with
+                | Some p -> p
+                | None -> Network.P_left
+              in
+              Program.replay_parent net ~parent ~child:nid ~port
+            | Some _ | None -> [])
+          r.Build.new_beta_nodes)
+      results
+  in
+  let seeded = ref [] in
+  Wm.iter
+    (fun w ->
+      let ts, _ = Runtime.seed_wme_change ~min_node_id:first_new net Task.Add w in
+      seeded := List.rev_append ts !seeded)
+    wm;
+  replayed @ List.rev !seeded
+
+let same_task a b =
+  Task.node a = Task.node b
+  && Task.flag a = Task.flag b
+  &&
+  match a, b with
+  | Task.Right { wme = w1; _ }, Task.Right { wme = w2; _ } -> w1 == w2
+  | Task.Left { token = t1; _ }, Task.Left { token = t2; _ }
+  | Task.Rtok { token = t1; _ }, Task.Rtok { token = t2; _ } ->
+    Token.equal t1 t2
+  | (Task.Left _ | Task.Right _ | Task.Rtok _), _ -> false
+
+let prop_update_tasks_match_reference =
+  QCheck.Test.make ~count:400 ~name:"update tasks equal the reference alpha walk"
+    (QCheck.pair Test_props.arb_productions
+       (QCheck.pair Test_props.arb_productions Test_props.arb_history))
+    (fun (early, (late, history)) ->
+      let schema = blocks_schema () in
+      let net = Network.create schema in
+      ignore (Test_props.try_build net schema early);
+      let wm = Wm.create () in
+      List.iter
+        (fun b -> ignore (Serial.run_changes net b))
+        (Test_props.realize wm history);
+      let results = Test_props.try_build net schema late in
+      let expected = reference_update_tasks net wm results in
+      let got = Update.update_tasks_batch net wm results in
+      if List.length got = List.length expected && List.for_all2 same_task got expected
+      then true
+      else
+        QCheck.Test.fail_reportf "update tasks@ %a@ differ from the reference@ %a"
+          (Format.pp_print_list ~pp_sep:Format.pp_print_space Task.pp)
+          got
+          (Format.pp_print_list ~pp_sep:Format.pp_print_space Task.pp)
+          expected)
+
 (* --- linter ------------------------------------------------------------------- *)
 
 let lint_src src =
@@ -497,4 +565,5 @@ let suite =
       test_races_detects_lock_elision;
     QCheck_alcotest.to_alcotest prop_update_state_verified_serial;
     QCheck_alcotest.to_alcotest prop_update_state_verified_sim;
+    QCheck_alcotest.to_alcotest prop_update_tasks_match_reference;
   ]

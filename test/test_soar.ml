@@ -416,26 +416,54 @@ let test_chunk_build_variablizes () =
     (* s1 and b7 became variables, shared across conditions *)
     Alcotest.(check int) "two variables" 2 (List.length (Production.bound_vars p))
 
-let test_chunk_duplicate_canonical () =
+let triple_schema () =
   let schema = Schema.create () in
   Schema.declare schema "state" Psme_ops5.Parser.triple_fields;
-  let mk id tag =
-    Wme.make ~cls:(Sym.intern "state")
-      ~fields:[| Value.sym id; Value.sym "p"; Value.int 1 |]
-      ~timetag:tag
+  schema
+
+let state_wme tag fields =
+  Wme.make ~cls:(Sym.intern "state") ~fields:(Array.of_list fields) ~timetag:tag
+
+(* A chunk over [grounds] whose result sits on identifier [id]; the
+   symbols in [ids] are identifiers and become variables. *)
+let chunk_of ~name ~ids ~id grounds =
+  let is_id v = List.exists (fun s -> Value.equal v (Value.sym s)) ids in
+  Chunker.build (triple_schema ()) ~is_id ~name:(Sym.intern name) ~grounds
+    ~results:[ (Sym.intern "state", [| Value.sym id; Value.sym "q"; Value.int 2 |]) ]
+  |> Option.get
+
+let test_chunk_duplicate_canonical () =
+  let mk id tag = state_wme tag [ Value.sym id; Value.sym "p"; Value.int 1 ] in
+  let c1 = chunk_of ~name:"chunk-a" ~ids:[ "s1" ] ~id:"s1" [ mk "s1" 1 ] in
+  let c2 = chunk_of ~name:"chunk-b" ~ids:[ "s9" ] ~id:"s9" [ mk "s9" 2 ] in
+  Alcotest.(check bool) "alpha-equivalent chunks are duplicates" true
+    (Chunker.same_form c1 c2);
+  Alcotest.(check int) "and hash alike" (Chunker.form_hash c1) (Chunker.form_hash c2)
+
+let test_chunk_distinct_forms () =
+  let distinct what a b =
+    Alcotest.(check bool) (what ^ ": not duplicates") false (Chunker.same_form a b)
   in
-  let build name id tag =
-    Chunker.build schema
-      ~is_id:(fun v -> Value.equal v (Value.sym id))
-      ~name:(Sym.intern name) ~grounds:[ mk id tag ]
-      ~results:[ (Sym.intern "state", [| Value.sym id; Value.sym "q"; Value.int 2 |]) ]
-    |> Option.get
+  let one v = [ state_wme 1 [ Value.sym "s1"; Value.sym "p"; v ] ] in
+  let chunk name grounds = chunk_of ~name ~ids:[ "s1"; "s2" ] ~id:"s1" grounds in
+  distinct "different constant"
+    (chunk "chunk-c1" (one (Value.int 1)))
+    (chunk "chunk-c2" (one (Value.int 5)));
+  (* the same constants, but one chunk tests a single identifier twice
+     where the other tests two *)
+  let pair second =
+    [
+      state_wme 1 [ Value.sym "s1"; Value.sym "p"; Value.int 1 ];
+      state_wme 2 [ Value.sym second; Value.sym "r"; Value.int 1 ];
+    ]
   in
-  let c1 = build "chunk-a" "s1" 1 in
-  let c2 = build "chunk-b" "s9" 2 in
-  Alcotest.(check string) "alpha-equivalent chunks share canonical form"
-    (Chunker.canonical_form schema c1)
-    (Chunker.canonical_form schema c2)
+  distinct "different variable sharing"
+    (chunk "chunk-v1" (pair "s1"))
+    (chunk "chunk-v2" (pair "s2"));
+  (* alike as text, different as values *)
+  distinct "symbol 3 against integer 3"
+    (chunk "chunk-t1" (one (Value.sym "3")))
+    (chunk "chunk-t2" (one (Value.int 3)))
 
 let suite =
   [
@@ -463,4 +491,6 @@ let suite =
     Alcotest.test_case "backtrace grounds" `Quick test_backtrace_grounds;
     Alcotest.test_case "chunk build variablizes" `Quick test_chunk_build_variablizes;
     Alcotest.test_case "chunk canonical form" `Quick test_chunk_duplicate_canonical;
+    Alcotest.test_case "chunk dedup keeps distinct chunks" `Quick
+      test_chunk_distinct_forms;
   ]
