@@ -33,6 +33,7 @@ analyze:
 verify:
 	dune exec bin/soar_cli.exe -- check --workload all
 	dune exec bin/soar_cli.exe -- races --engine sim
+	dune exec bin/soar_cli.exe -- races --engine parallel --procs 4 --workload cypress
 
 # Speedup-loss attribution gate: the four ledger components must sum
 # to the measured ideal-vs-achieved gap on every cycle (the command

@@ -34,7 +34,7 @@ let default =
     fire_us = 120.;
   }
 
-let task_cost p (o : Runtime.outcome) =
+let[@inline] task_cost p (o : Runtime.outcome) =
   let base =
     match o.Runtime.cost_class with
     | Runtime.Entry_task -> p.entry_base_us
@@ -45,3 +45,7 @@ let task_cost p (o : Runtime.outcome) =
   base
   +. (p.per_scan_us *. float_of_int o.Runtime.scanned)
   +. (p.per_child_us *. float_of_int (Array.length o.Runtime.children))
+
+type charge = { mutable task_us : float }
+
+let charge p o r = r.task_us <- task_cost p o

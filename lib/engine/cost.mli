@@ -31,3 +31,11 @@ val task_cost : params -> Psme_rete.Runtime.outcome -> float
     node was excised while it was queued) ran no program, scanned
     nothing and emitted nothing, so it is charged 0 µs; the simulator
     still charges the queue operation that popped it. *)
+
+type charge = { mutable task_us : float }
+
+val charge : params -> Psme_rete.Runtime.outcome -> charge -> unit
+(** Store {!task_cost} in [task_us]. A float returned from another
+    module arrives boxed, two words per task; a record of floats holds
+    it unboxed, so the serial engine's task loop allocates nothing for
+    the charge. *)

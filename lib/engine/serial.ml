@@ -56,6 +56,7 @@ let episode ~cost ?tracer ?on_inst net seed =
   let alpha = ref (seed st) in
   let tasks = ref 0 in
   let serial_us = ref 0. in
+  let charge = { Cost.task_us = 0. } in
   let scanned = ref 0 in
   let emitted = ref 0 in
   while st.len > 0 do
@@ -70,8 +71,10 @@ let episode ~cost ?tracer ?on_inst net seed =
     | None -> ());
     let o = Runtime.exec net task in
     incr tasks;
-    let c = Cost.task_cost cost o in
-    Telemetry.record_task_us Telemetry.global c;
+    Cost.charge cost o charge;
+    let c = charge.Cost.task_us in
+    (* [record_task_us]'s conversion: a float argument would be boxed *)
+    Telemetry.record_task_ns Telemetry.global (int_of_float (c *. 1e3));
     let kids = o.Runtime.children in
     let nkids = Array.length kids in
     (match tracer with

@@ -1,4 +1,3 @@
-open Psme_support
 open Psme_ops5
 
 type left_entry = {
@@ -11,47 +10,55 @@ type right_payload =
   | R_wme of Wme.t
   | R_tok of Token.t
 
-type l_item = { ln : int; lkh : int; entry : left_entry }
-type r_item = { rn : int; rkh : int; payload : right_payload; mutable r_refs : int }
+(* [lnext]/[rnext]: the position of the next entry with the item's key
+   in its line, or -1 *)
+type l_item = { ln : int; lkh : int; entry : left_entry; mutable lnext : int }
 
-(* Each line stores its entries in one Vec (the line "population" the
-   cost model charges a probe for), plus a secondary index mapping a
-   bucket key — (node, khash) folded to an int — to the *ascending*
-   positions of that bucket's entries in the Vec. Probes and iterations
-   walk only their own bucket chain; iterating positions in ascending
-   order visits entries in exactly the order the unindexed line scan
-   did, so the serial engine's task schedule (and therefore its measured
-   [scanned] stream) is unchanged.
+type r_item = {
+  rn : int;
+  rkh : int;
+  payload : right_payload;
+  mutable r_refs : int;
+  mutable rnext : int;
+}
+
+(* Which side a generic [side] holds: the chain code reads and writes
+   links through it. *)
+type _ kind = Left : l_item kind | Right : r_item kind
+
+(* Each side of a line stores its entries in one array, in line order:
+   the line "population" the cost model charges a probe for. A bucket —
+   the entries of one key, (node, khash) folded to an int — is a chain
+   threaded through them (paper §6.1): each entry records the position
+   of the next entry with its key. A chain runs in ascending position,
+   so following it visits entries in exactly the order the unindexed
+   line scan did, and the serial engine's task schedule (and therefore
+   its measured [scanned] stream) is unchanged. A flat open-addressing
+   table maps a key to its chain's first position: linear probing over
+   an int array, with backward-shift deletion.
 
    Key folding may collide two distinct (node, khash) pairs into one
-   chain; every entry still carries its own [ln]/[lkh] and each probe
-   re-checks them, so a collision only lengthens the chain.
+   chain; every entry still carries its own node and khash and each
+   walk re-checks them, so a collision only lengthens the chain.
 
-   The index is keyed by that int, so a probe mixes a few machine words
-   instead of calling the polymorphic [caml_hash]. It is only probed,
-   never iterated, so its hash decides no visit order. *)
-
-module IH = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  (* fold the high bits down, spread them with a multiply, fold again:
-     keys sharing a line differ only above the line bits *)
-  let hash x =
-    let x = x lxor (x lsr 32) in
-    let x = x * 0x9e3779b97f4a7c1 in
-    (x lxor (x lsr 29)) land max_int
-end)
+   The chain code below reaches the links through the side's [kind], so
+   both sides share it; only the walks that compare entries are written
+   per side. *)
+type 'a side = {
+  kind : 'a kind;
+  mutable items : 'a array;  (* positions [0, len) *)
+  mutable len : int;
+  mutable table : int array;  (* key at 2s (-1: empty slot), chain head at 2s+1 *)
+  mutable keys : int;  (* occupied slots *)
+  mutable prev : int;
+      (* the last walk's result: the hit's predecessor in its chain, or
+         the chain's tail after a miss (-1: none) *)
+}
 
 type line = {
   lock : Mutex.t;
-  left : l_item Vec.t;
-  right : r_item Vec.t;
-  (* allocated on first use: most lines of a fresh memory are never
-     touched, and Network.create should stay cheap *)
-  mutable lidx : int Vec.t IH.t option;
-  mutable ridx : int Vec.t IH.t option;
+  left : l_item side;
+  right : r_item side;
   mutable left_accesses : int;  (* since last reset_cycle_stats *)
   (* since creation; like every field above, written only under the
      line lock, and summed over the lines when read *)
@@ -69,86 +76,170 @@ type t = {
      [access_histogram] in the interface *)
 }
 
-let bkey ~node ~khash = ((node * 0x9e3779b1) lxor khash) land max_int
+(* The khash of an equality-free node is its id seed alone, so the node
+   term must not be that seed: xor-ing it in would give every such node
+   of a line key 0, and one chain. *)
+let bkey ~node ~khash = (khash + node) land max_int
 
-(* --- ascending position lists ---------------------------------------- *)
+let key_of : type a. a kind -> a -> int =
+ fun k it ->
+  match k with
+  | Left -> bkey ~node:it.ln ~khash:it.lkh
+  | Right -> bkey ~node:it.rn ~khash:it.rkh
 
-(* Loops rather than local recursive functions: a local function that
-   captures its arguments is a closure allocated on every call. *)
-let ivec_remove v x =
-  let n = Vec.length v in
-  let i = ref 0 in
-  while !i < n && Vec.unsafe_get v !i <> x do
-    incr i
+let next_of : type a. a kind -> a -> int =
+ fun k it -> match k with Left -> it.lnext | Right -> it.rnext
+
+let set_next : type a. a kind -> a -> int -> unit =
+ fun k it pos -> match k with Left -> it.lnext <- pos | Right -> it.rnext <- pos
+
+(* --- the key table ------------------------------------------------------- *)
+
+(* Most lines are never touched: their sides share the empty arrays, so
+   Network.create stays cheap. *)
+let new_side kind = { kind; items = [||]; len = 0; table = [||]; keys = 0; prev = -1 }
+
+(* fold the high bits down, spread them with a multiply, fold again:
+   keys sharing a line differ only above the line bits *)
+let slot_hash key =
+  let x = key lxor (key lsr 32) in
+  let x = x * 0x9e3779b97f4a7c1 in
+  x lxor (x lsr 29)
+
+(* The slot holding [key] in the non-empty [table], or the empty slot
+   where its probe ends. Loops rather than local recursive functions: a
+   local function that captures its arguments is a closure allocated on
+   every call. *)
+let find_slot table key =
+  let mask = (Array.length table lsr 1) - 1 in
+  let s = ref (slot_hash key land mask) in
+  let k = ref (Array.unsafe_get table (2 * !s)) in
+  while !k <> key && !k >= 0 do
+    s := (!s + 1) land mask;
+    k := Array.unsafe_get table (2 * !s)
   done;
-  if !i < n then begin
-    for j = !i to n - 2 do
-      Vec.set v j (Vec.unsafe_get v (j + 1))
+  !s
+
+(* The first position of [key]'s chain, or -1 (an empty slot's head is
+   -1 too). *)
+let head s key =
+  let table = s.table in
+  if Array.length table = 0 then -1
+  else Array.unsafe_get table ((2 * find_slot table key) + 1)
+
+let set_head s key pos = s.table.((2 * find_slot s.table key) + 1) <- pos
+
+(* From 8 slots, doubling past load 3/4: most tables stay small enough
+   for the minor heap (a sparser table, from 16 slots at load 1/2, cost
+   io-stream 3.6% more minor words per cycle). *)
+let add_key s key pos =
+  if 4 * (s.keys + 1) > 3 * (Array.length s.table lsr 1) then begin
+    let old = s.table in
+    let table = Array.make (max 16 (2 * Array.length old)) (-1) in
+    for i = 0 to (Array.length old lsr 1) - 1 do
+      let k = old.(2 * i) in
+      if k >= 0 then begin
+        let j = find_slot table k in
+        table.(2 * j) <- k;
+        table.((2 * j) + 1) <- old.((2 * i) + 1)
+      end
     done;
-    ignore (Vec.pop v)
-  end
-
-let ivec_insert_sorted v x =
-  Vec.push v x;
-  let j = ref (Vec.length v - 1) in
-  while !j > 0 && Vec.unsafe_get v (!j - 1) > x do
-    Vec.set v !j (Vec.unsafe_get v (!j - 1));
-    decr j
-  done;
-  Vec.set v !j x
-
-(* The chain of an absent key: shared, and never pushed to. *)
-let no_chain : int Vec.t = Vec.create ()
-
-(* [find_opt], not [find]: a miss raising [Not_found] costs several
-   times a probe *)
-let chain idx key =
-  match idx with
-  | None -> no_chain
-  | Some h -> ( match IH.find_opt h key with Some ps -> ps | None -> no_chain)
-
-(* Register [pos], the line's new last position, in [key]'s chain [ps]
-   (the one the caller already probed; [no_chain] when the key has
-   none yet). *)
-let chain_push idx ps key pos =
-  if ps != no_chain then Vec.push ps pos (* pos is the new maximum: stays ascending *)
-  else begin
-    (* most chains hold one or two entries *)
-    let v = Vec.make 2 in
-    Vec.push v pos;
-    IH.add idx key v
-  end
-
-(* Mirror Vec.swap_remove in the index: position [i] leaves its chain
-   [ps] (the key is dropped when the chain empties), and the entry moved
-   down from the end re-registers at its new position (which must be
-   re-sorted into its own chain). *)
-let swap_remove_indexed vec idx ps key ~key_of i =
-  let n = Vec.length vec in
-  ivec_remove ps i;
-  if Vec.is_empty ps then IH.remove idx key;
-  if i < n - 1 then begin
-    let v = IH.find idx (key_of (Vec.get vec (n - 1))) in
-    ivec_remove v (n - 1);
-    ivec_insert_sorted v i
+    s.table <- table
   end;
-  Vec.swap_remove vec i
+  let j = find_slot s.table key in
+  s.table.(2 * j) <- key;
+  s.table.((2 * j) + 1) <- pos;
+  s.keys <- s.keys + 1
 
-let the_idx = function Some h -> h | None -> assert false
+(* Backward-shift deletion: each later key of the probe run moves back
+   into the hole unless its home slot lies after the hole. *)
+let remove_key s key =
+  let table = s.table in
+  let mask = (Array.length table lsr 1) - 1 in
+  let hole = ref (find_slot table key) in
+  let j = ref ((!hole + 1) land mask) in
+  while table.(2 * !j) >= 0 do
+    let k = table.(2 * !j) in
+    if (!j - slot_hash k) land mask >= (!j - !hole) land mask then begin
+      table.(2 * !hole) <- k;
+      table.((2 * !hole) + 1) <- table.((2 * !j) + 1);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  table.(2 * !hole) <- -1;
+  table.((2 * !hole) + 1) <- -1;
+  s.keys <- s.keys - 1
 
-let force_idx get set line =
-  match get line with
-  | Some h -> h
-  | None ->
-    let h = IH.create 8 in
-    set line h;
-    h
+(* --- chains --------------------------------------------------------------- *)
 
-let force_lidx line = force_idx (fun l -> l.lidx) (fun l h -> l.lidx <- Some h) line
-let force_ridx line = force_idx (fun l -> l.ridx) (fun l h -> l.ridx <- Some h) line
+(* Push [x], whose link is -1, as the side's new last entry and append
+   it to [key]'s chain after [tail], the chain's last position (-1: the
+   key has no chain). The new position is the line's largest, so the
+   chain stays ascending. *)
+let append s key ~tail x =
+  let pos = s.len in
+  if pos = Array.length s.items then begin
+    let items = Array.make (max 8 (2 * pos)) (Obj.magic 0) in
+    Array.blit s.items 0 items 0 pos;
+    s.items <- items
+  end;
+  s.items.(pos) <- x;
+  s.len <- pos + 1;
+  if tail < 0 then add_key s key pos else set_next s.kind s.items.(tail) pos
 
-let lkey_of (it : l_item) = bkey ~node:it.ln ~khash:it.lkh
-let rkey_of (it : r_item) = bkey ~node:it.rn ~khash:it.rkh
+(* Re-thread [x], the line's last entry at [last] and the tail of
+   [key]'s chain, as the entry at position [i] < [last], in ascending
+   order: one walk finds both [last]'s predecessor and the last
+   position before [i]. *)
+let rethread s key x ~last i =
+  let k = s.kind and items = s.items in
+  let h = head s key in
+  let before = ref (-1) and pred = ref (-1) and c = ref h in
+  while !c <> last do
+    if !c < i then before := !c;
+    pred := !c;
+    c := next_of k items.(!c)
+  done;
+  if !pred >= 0 then set_next k items.(!pred) (-1);
+  if !before >= 0 then begin
+    set_next k x (next_of k items.(!before));
+    set_next k items.(!before) i
+  end
+  else begin
+    set_next k x (if h = last then -1 else h);
+    set_head s key i
+  end
+
+(* Remove position [i] of [key]'s chain, whose predecessor is [prev]
+   (-1: [i] is the head; the key leaves the table with its last entry).
+   The line's last entry then moves down into [i], as
+   [Vec.swap_remove] does. *)
+let remove_at s key ~prev i =
+  let k = s.kind in
+  let nx = next_of k s.items.(i) in
+  if prev >= 0 then set_next k s.items.(prev) nx
+  else if nx >= 0 then set_head s key nx
+  else remove_key s key;
+  let last = s.len - 1 in
+  if i < last then begin
+    let x = s.items.(last) in
+    rethread s (key_of k x) x ~last i;
+    s.items.(i) <- x
+  end;
+  s.items.(last) <- Obj.magic 0;
+  s.len <- last
+
+(* [remove_at] for an entry whose predecessor is not known. *)
+let remove_any s i =
+  let k = s.kind in
+  let key = key_of k s.items.(i) in
+  let prev = ref (-1) and c = ref (head s key) in
+  while !c <> i do
+    prev := !c;
+    c := next_of k s.items.(!c)
+  done;
+  remove_at s key ~prev:!prev i
 
 let total_left_accesses t = Array.fold_left (fun n l -> n + l.left_total) 0 t.lines
 let total_right_accesses t = Array.fold_left (fun n l -> n + l.right_total) 0 t.lines
@@ -163,8 +254,7 @@ let create ?(lines = 512) () =
     {
       lines =
         Array.init n (fun _ ->
-            { lock = Mutex.create (); left = Vec.create (); right = Vec.create ();
-              lidx = None; ridx = None;
+            { lock = Mutex.create (); left = new_side Left; right = new_side Right;
               left_accesses = 0; left_total = 0; right_total = 0 });
       mask = n - 1;
       spins = Atomic.make 0;
@@ -220,46 +310,38 @@ let touch_left l =
   l.left_accesses <- l.left_accesses + 1;
   l.left_total <- l.left_total + 1
 
-(* Position of the first matching entry of [key]'s chain [ps] in
-   ascending line order — the same entry (and the same scan outcome) the
-   full line scan used to find — or -1. *)
-let find_left l ps ~node ~khash token =
-  let n = Vec.length ps in
-  let j = ref 0 and found = ref (-1) in
-  while !found < 0 && !j < n do
-    let i = Vec.unsafe_get ps !j in
-    let item = Vec.unsafe_get l.left i in
-    if item.ln = node && item.lkh = khash && Token.equal item.entry.l_token token then
-      found := i;
-    incr j
+(* Walk [key]'s chain for [node]'s entry of [token]: its position, or
+   -1. The first match in ascending position is the entry the full line
+   scan used to find. Leaves the predecessor or the tail in [s.prev]. *)
+let find_left s key ~node ~khash token =
+  let items = s.items in
+  let prev = ref (-1) and i = ref (head s key) in
+  while
+    !i >= 0
+    &&
+    let it = Array.unsafe_get items !i in
+    not (it.ln = node && it.lkh = khash && Token.equal it.entry.l_token token)
+  do
+    prev := !i;
+    i := (Array.unsafe_get items !i).lnext
   done;
-  !found
-
-let left_push l ps key ~node ~khash entry =
-  Vec.push l.left { ln = node; lkh = khash; entry };
-  chain_push (force_lidx l) ps key (Vec.length l.left - 1)
-
-let left_remove_at l ps key i =
-  swap_remove_indexed l.left (the_idx l.lidx) ps key ~key_of:lkey_of i
-
-let left_swap_remove l i =
-  let key = lkey_of (Vec.get l.left i) in
-  left_remove_at l (IH.find (the_idx l.lidx) key) key i
+  s.prev <- !prev;
+  !i
 
 let inert = { l_token = Token.of_wmes [||]; l_refs = 0; l_count = 0 }
 
 let left_insert t ~node ~khash token ~count =
   let l = t.lines.(line_of t ~khash) in
   touch_left l;
+  let s = l.left in
   let key = bkey ~node ~khash in
-  let ps = chain l.lidx key in
-  let i = find_left l ps ~node ~khash token in
+  let i = find_left s key ~node ~khash token in
   if i >= 0 then begin
-    let e = (Vec.unsafe_get l.left i).entry in
+    let e = s.items.(i).entry in
     e.l_refs <- e.l_refs + 1;
     if e.l_refs = 0 then begin
       (* annihilated an early delete *)
-      left_remove_at l ps key i;
+      remove_at s key ~prev:s.prev i;
       inert
     end
     else if e.l_refs = 1 then e
@@ -267,28 +349,30 @@ let left_insert t ~node ~khash token ~count =
   end
   else begin
     let e = { l_token = token; l_refs = 1; l_count = count } in
-    left_push l ps key ~node ~khash e;
+    append s key ~tail:s.prev { ln = node; lkh = khash; entry = e; lnext = -1 };
     e
   end
 
 let left_delete t ~node ~khash token =
   let l = t.lines.(line_of t ~khash) in
   touch_left l;
+  let s = l.left in
   let key = bkey ~node ~khash in
-  let ps = chain l.lidx key in
-  let i = find_left l ps ~node ~khash token in
+  let i = find_left s key ~node ~khash token in
   if i >= 0 then begin
-    let e = (Vec.unsafe_get l.left i).entry in
+    let e = s.items.(i).entry in
     e.l_refs <- e.l_refs - 1;
     if e.l_refs = 0 then begin
-      left_remove_at l ps key i;
+      remove_at s key ~prev:s.prev i;
       e
     end
     else inert
   end
   else begin
     (* early delete: leave a tombstone for the add to annihilate *)
-    left_push l ps key ~node ~khash { l_token = token; l_refs = -1; l_count = 0 };
+    append s key ~tail:s.prev
+      { ln = node; lkh = khash; entry = { l_token = token; l_refs = -1; l_count = 0 };
+        lnext = -1 };
     inert
   end
 
@@ -300,23 +384,24 @@ let left_remove t ~node ~khash token =
   let e = left_delete t ~node ~khash token in
   if e == inert then `Inert else `Deactivated e
 
-let left_population t ~khash = Vec.length t.lines.(line_of t ~khash).left
+let left_population t ~khash = t.lines.(line_of t ~khash).left.len
 
 let left_fold t ~node ~khash ~stage x step acc =
   let l = t.lines.(line_of t ~khash) in
   touch_left l;
-  let ps = chain l.lidx (bkey ~node ~khash) in
-  let n = Vec.length ps in
-  if n = 0 then acc
+  let s = l.left in
+  let i = ref (head s (bkey ~node ~khash)) in
+  if !i < 0 then acc
   else begin
     let test = stage x in
     let acc = ref acc in
-    (* index positions mirror swap_remove in lockstep, so they are
-       always < length under the line lock: unsafe_get is in-bounds *)
-    for j = 0 to n - 1 do
-      let item = Vec.unsafe_get l.left (Vec.unsafe_get ps j) in
+    (* chain positions mirror every swap-remove, so they are always
+       < len under the line lock: unsafe_get is in-bounds *)
+    while !i >= 0 do
+      let item = Array.unsafe_get s.items !i in
       if item.ln = node && item.lkh = khash && item.entry.l_refs >= 1 then
-        acc := step test !acc item.entry
+        acc := step test !acc item.entry;
+      i := item.lnext
     done;
     !acc
   end
@@ -338,85 +423,80 @@ let payload_equal a b =
   | R_tok x, R_tok y -> Token.equal x y
   | (R_wme _ | R_tok _), _ -> false
 
-let find_right l ps ~node ~khash payload =
-  let n = Vec.length ps in
-  let j = ref 0 and found = ref (-1) in
-  while !found < 0 && !j < n do
-    let i = Vec.unsafe_get ps !j in
-    let item = Vec.unsafe_get l.right i in
-    if item.rn = node && item.rkh = khash && payload_equal item.payload payload then
-      found := i;
-    incr j
+(* {!find_left} for the right side. *)
+let find_right s key ~node ~khash payload =
+  let items = s.items in
+  let prev = ref (-1) and i = ref (head s key) in
+  while
+    !i >= 0
+    &&
+    let it = Array.unsafe_get items !i in
+    not (it.rn = node && it.rkh = khash && payload_equal it.payload payload)
+  do
+    prev := !i;
+    i := (Array.unsafe_get items !i).rnext
   done;
-  !found
-
-let right_push l ps key ~node ~khash payload ~refs =
-  Vec.push l.right { rn = node; rkh = khash; payload; r_refs = refs };
-  chain_push (force_ridx l) ps key (Vec.length l.right - 1)
-
-let right_remove_at l ps key i =
-  swap_remove_indexed l.right (the_idx l.ridx) ps key ~key_of:rkey_of i
-
-let right_swap_remove l i =
-  let key = rkey_of (Vec.get l.right i) in
-  right_remove_at l (IH.find (the_idx l.ridx) key) key i
+  s.prev <- !prev;
+  !i
 
 let right_add t ~node ~khash payload =
   let l = t.lines.(line_of t ~khash) in
   l.right_total <- l.right_total + 1;
+  let s = l.right in
   let key = bkey ~node ~khash in
-  let ps = chain l.ridx key in
-  let i = find_right l ps ~node ~khash payload in
+  let i = find_right s key ~node ~khash payload in
   if i >= 0 then begin
-    let item = Vec.unsafe_get l.right i in
+    let item = s.items.(i) in
     item.r_refs <- item.r_refs + 1;
     if item.r_refs = 0 then begin
-      right_remove_at l ps key i;
+      remove_at s key ~prev:s.prev i;
       false
     end
     else item.r_refs = 1
   end
   else begin
-    right_push l ps key ~node ~khash payload ~refs:1;
+    append s key ~tail:s.prev { rn = node; rkh = khash; payload; r_refs = 1; rnext = -1 };
     true
   end
 
 let right_remove t ~node ~khash payload =
   let l = t.lines.(line_of t ~khash) in
   l.right_total <- l.right_total + 1;
+  let s = l.right in
   let key = bkey ~node ~khash in
-  let ps = chain l.ridx key in
-  let i = find_right l ps ~node ~khash payload in
+  let i = find_right s key ~node ~khash payload in
   if i >= 0 then begin
-    let item = Vec.unsafe_get l.right i in
+    let item = s.items.(i) in
     item.r_refs <- item.r_refs - 1;
     if item.r_refs = 0 then begin
-      right_remove_at l ps key i;
+      remove_at s key ~prev:s.prev i;
       true
     end
     else false
   end
   else begin
-    right_push l ps key ~node ~khash payload ~refs:(-1);
+    append s key ~tail:s.prev
+      { rn = node; rkh = khash; payload; r_refs = -1; rnext = -1 };
     false
   end
 
-let right_population t ~khash = Vec.length t.lines.(line_of t ~khash).right
+let right_population t ~khash = t.lines.(line_of t ~khash).right.len
 
 let right_fold t ~node ~khash ~stage x step acc =
   let l = t.lines.(line_of t ~khash) in
   l.right_total <- l.right_total + 1;
-  let ps = chain l.ridx (bkey ~node ~khash) in
-  let n = Vec.length ps in
-  if n = 0 then acc
+  let s = l.right in
+  let i = ref (head s (bkey ~node ~khash)) in
+  if !i < 0 then acc
   else begin
     let test = stage x in
     let acc = ref acc in
     (* same in-bounds argument as left_fold *)
-    for j = 0 to n - 1 do
-      let item = Vec.unsafe_get l.right (Vec.unsafe_get ps j) in
+    while !i >= 0 do
+      let item = Array.unsafe_get s.items !i in
       if item.rn = node && item.rkh = khash && item.r_refs >= 1 then
-        acc := step test !acc item.payload
+        acc := step test !acc item.payload;
+      i := item.rnext
     done;
     !acc
   end
@@ -426,23 +506,32 @@ let right_iter t ~node ~khash f =
   right_fold t ~node ~khash ~stage:Fun.id f visit ();
   scanned
 
+(* --- whole-line walks ------------------------------------------------------ *)
+
+let fold_side s f acc =
+  let acc = ref acc in
+  for i = 0 to s.len - 1 do
+    acc := f !acc s.items.(i)
+  done;
+  !acc
+
 let drop_node t ~node =
   Array.iter
     (fun line ->
       Mutex.protect line.lock (fun () ->
           let rec purge_left i =
-            if i < Vec.length line.left then
-              if (Vec.get line.left i).ln = node then begin
-                left_swap_remove line i;
+            if i < line.left.len then
+              if line.left.items.(i).ln = node then begin
+                remove_any line.left i;
                 purge_left i
               end
               else purge_left (i + 1)
           in
           purge_left 0;
           let rec purge_right i =
-            if i < Vec.length line.right then
-              if (Vec.get line.right i).rn = node then begin
-                right_swap_remove line i;
+            if i < line.right.len then
+              if line.right.items.(i).rn = node then begin
+                remove_any line.right i;
                 purge_right i
               end
               else purge_right (i + 1)
@@ -454,37 +543,37 @@ let iter_node_left t ~node f =
   Array.iter
     (fun line ->
       Mutex.protect line.lock (fun () ->
-          Vec.iter
-            (fun item -> if item.ln = node && item.entry.l_refs >= 1 then f item.entry)
-            line.left))
+          fold_side line.left
+            (fun () item -> if item.ln = node && item.entry.l_refs >= 1 then f item.entry)
+            ()))
     t.lines
 
 let iter_node_right t ~node f =
   Array.iter
     (fun line ->
       Mutex.protect line.lock (fun () ->
-          Vec.iter
-            (fun item -> if item.rn = node && item.r_refs >= 1 then f item.payload)
-            line.right))
+          fold_side line.right
+            (fun () item -> if item.rn = node && item.r_refs >= 1 then f item.payload)
+            ()))
     t.lines
 
 let fold_left_entries t ~init ~f =
   Array.fold_left
     (fun acc line ->
       Mutex.protect line.lock (fun () ->
-          Vec.fold
+          fold_side line.left
             (fun acc item -> f acc ~node:item.ln ~khash:item.lkh item.entry)
-            acc line.left))
+            acc))
     init t.lines
 
 let fold_right_entries t ~init ~f =
   Array.fold_left
     (fun acc line ->
       Mutex.protect line.lock (fun () ->
-          Vec.fold
+          fold_side line.right
             (fun acc item ->
               f acc ~node:item.rn ~khash:item.rkh ~refs:item.r_refs item.payload)
-            acc line.right))
+            acc))
     init t.lines
 
 let reset_cycle_stats t =

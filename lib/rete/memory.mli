@@ -23,12 +23,13 @@
     NCC nodes); right entries are wmes (for joins/negatives) or tokens
     (subnetwork results arriving at NCC partners).
 
-    Internally each line also keeps a secondary index from [(node,
-    khash)] to the positions of that key's entries, so probes and
-    iterations walk only their own chain instead of every entry sharing
-    the line. The index preserves line order (positions are visited
-    ascending), so iteration yields the same entry sequence a full line
-    scan would — the serial engine's schedule, and every derived
+    Internally a bucket is a chain threaded through the line's entries:
+    each entry records the position of the next entry with its [(node,
+    khash)] key, and a flat per-line table maps the key to its chain's
+    first entry. Probes and iterations walk only their own chain
+    instead of every entry sharing the line. A chain runs in ascending
+    line position, so iteration yields the same entry sequence a full
+    line scan would — the serial engine's schedule, and every derived
     measurement, is unchanged. The [scanned] value reported by the
     [*_iter] functions is still the {e line} population (the paper's
     bucket-scan cost that the simulator charges), not the number of
