@@ -731,48 +731,6 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc) Term.(const check_cmd_impl $ check_workload_arg)
 
-(* --- lint ----------------------------------------------------------------------- *)
-
-let lint_files_arg =
-  Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE")
-
-let strict_arg =
-  let doc = "Fail (exit 1) on warnings too, not just errors." in
-  Arg.(value & flag & info [ "strict" ] ~doc)
-
-let lint_cmd_impl files strict =
-  setup_logs false;
-  let lint_file acc file =
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
-    let schema = Schema.create () in
-    Agent.prepare_schema schema;
-    match Psme_check.Lint.source schema src with
-    | report ->
-      print_report file report;
-      Result.map (fun a -> Psme_check.Finding.merge a report) acc
-    | exception Parser.Parse_error (msg, { Lexer.line }) ->
-      Format.eprintf "%s: parse error at line %d: %s@." file line msg;
-      Error ()
-    | exception Lexer.Lex_error (msg, { Lexer.line }) ->
-      Format.eprintf "%s: lex error at line %d: %s@." file line msg;
-      Error ()
-  in
-  match List.fold_left lint_file (Ok Psme_check.Finding.empty) files with
-  | Error () -> 2
-  | Ok report -> Psme_check.Finding.exit_code ~strict report
-
-let lint_cmd =
-  let doc =
-    "Lint production source files: schema-aware checks for unused variables, \
-     unsatisfiable or duplicate conditions, cross-product joins and \
-     productions that can never fire. Suppress a finding with a \
-     '; lint: allow <rule> [<production>]' comment."
-  in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const lint_cmd_impl $ lint_files_arg $ strict_arg)
-
 (* --- analyze --------------------------------------------------------------------- *)
 
 let analyze_files_arg =
@@ -784,6 +742,10 @@ let analyze_workload_arg =
      eight-puzzle, strips, cypress or all."
   in
   Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"TASK" ~doc)
+
+let strict_arg =
+  let doc = "Fail (exit 1) on warnings too, not just errors." in
+  Arg.(value & flag & info [ "strict" ] ~doc)
 
 let analyze_json_arg =
   let doc = "Emit the report as JSON on stdout." in
@@ -844,7 +806,7 @@ let analyze_workload ~json w =
   in
   let report =
     Psme_check.Finding.merge
-      (Psme_check.Analyze.productions prods)
+      (Psme_check.Analyze.productions (Agent.schema agent) prods)
       (Psme_check.Analyze.network net)
   in
   print_analyze w.Workload.name report json;
@@ -896,9 +858,10 @@ let analyze_cmd_impl files task strict json reorder =
 let analyze_cmd =
   let doc =
     "Statically analyze productions and their compiled Rete network: \
-     unsatisfiable conditions, dead or vacuous nodes, shadowed and subsumed \
-     production pairs, cross-product joins and the static join-cost model's \
-     reordering suggestions. Exit 0 when clean, 1 on findings that matter \
+     undeclared classes and fields, unsatisfiable conditions, unused \
+     variables and duplicate conditions, dead or vacuous nodes, shadowed and \
+     subsumed production pairs, cross-product joins and the static join-cost \
+     model's reordering suggestions. Exit 0 when clean, 1 on findings that matter \
      (errors, or any finding under --strict), 2 on parse failure. Suppress a \
      finding with a '; analyze: allow <rule> [<subject>]' comment."
   in
@@ -964,8 +927,8 @@ let main =
   Cmd.group (Cmd.info "soar_cli" ~doc)
     [
       run_cmd; tasks_cmd; network_cmd; report_cmd; diagnose_cmd; profile_cmd;
-      attribute_cmd; trace_cmd; dump_cmd; parse_cmd; check_cmd; lint_cmd;
-      analyze_cmd; races_cmd; telemetry_cmd;
+      attribute_cmd; trace_cmd; dump_cmd; parse_cmd; check_cmd; analyze_cmd;
+      races_cmd; telemetry_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

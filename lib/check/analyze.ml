@@ -2,7 +2,45 @@ open Psme_support
 open Psme_ops5
 open Psme_rete
 
-(* --- per-CE satisfiability ------------------------------------------- *)
+(* --- schema ------------------------------------------------------------- *)
+
+(* The parser rejects undeclared classes and attributes, so these fire
+   only on productions built in code — chunks (§5.1) among them. *)
+let schema_findings schema (p : Production.t) =
+  let name = Sym.name p.Production.name in
+  let check what cls fields =
+    if not (Schema.declared schema cls) then
+      [
+        Finding.error ~rule:"undeclared-class" ~subject:name
+          (Printf.sprintf "%s names undeclared class %s" what (Sym.name cls));
+      ]
+    else
+      let arity = Schema.arity schema cls in
+      List.filter_map
+        (fun (f, _) ->
+          if f >= 0 && f < arity then None
+          else
+            Some
+              (Finding.error ~rule:"bad-field" ~subject:name
+                 (Printf.sprintf "%s field %d is out of range for class %s" what
+                    f (Sym.name cls))))
+        fields
+  in
+  let rec cond = function
+    | Cond.Pos ce | Cond.Neg ce -> check "condition" ce.Cond.cls ce.Cond.tests
+    | Cond.Ncc cs -> List.concat_map cond cs
+  in
+  let action = function
+    | Action.Make (cls, fields) -> check "make" cls fields
+    | Action.Modify (i, fields) -> (
+      match Production.positive_ce p i with
+      | ce -> check "modify" ce.Cond.cls fields
+      | exception Invalid_argument _ -> [])
+    | Action.Remove _ | Action.Write _ | Action.Halt -> []
+  in
+  List.concat_map cond p.Production.lhs @ List.concat_map action p.Production.rhs
+
+(* --- satisfiability ------------------------------------------------------- *)
 
 let field_domains ce =
   List.map (fun (f, atoms) -> (f, Domain.of_tests atoms)) (Cond.tests_by_field ce)
@@ -55,6 +93,77 @@ let satisfiability_findings (p : Production.t) =
                     where));
            ])
        (primitive_ces p.Production.lhs))
+
+(* Top-level CEs repeated verbatim: twice with one sign is a
+   [duplicate-ce]; once with each sign, the production's own match
+   always blocks it ([unsatisfiable-production]). *)
+let repeat_findings (p : Production.t) =
+  let name = Sym.name p.Production.name in
+  let rec go = function
+    | [] -> []
+    | Cond.Ncc _ :: rest -> go rest
+    | ((Cond.Pos ce | Cond.Neg ce) as c) :: rest ->
+      let cls = Sym.name ce.Cond.cls in
+      let sign, flipped =
+        match c with
+        | Cond.Pos _ -> ("positive", Cond.Neg ce)
+        | _ -> ("negated", Cond.Pos ce)
+      in
+      (if List.mem c rest then
+         [
+           Finding.warning ~rule:"duplicate-ce" ~subject:name
+             (Printf.sprintf "%s condition on %s appears twice" sign cls);
+         ]
+       else [])
+      @ (if List.mem flipped rest then
+           [
+             Finding.error ~rule:"unsatisfiable-production" ~subject:name
+               (Printf.sprintf
+                  "condition on %s is both required and negated: its own \
+                   match always blocks it"
+                  cls);
+           ]
+         else [])
+      @ go rest
+  in
+  go p.Production.lhs
+
+(* --- hygiene -------------------------------------------------------------- *)
+
+let hygiene_findings (p : Production.t) =
+  let name = Sym.name p.Production.name in
+  (* a variable that occurs once is bound and never consulted (an
+     unbound use is rejected by [Production.make]) *)
+  let occs =
+    List.concat_map Cond.vars p.Production.lhs
+    @ List.concat_map Action.vars p.Production.rhs
+  in
+  let freq = Hashtbl.create 16 in
+  List.iter
+    (fun v ->
+      Hashtbl.replace freq v (1 + Option.value ~default:0 (Hashtbl.find_opt freq v)))
+    occs;
+  let unused =
+    List.filter_map
+      (fun v ->
+        if Hashtbl.find freq v > 1 then None
+        else
+          Some
+            (Finding.warning ~rule:"unused-variable" ~subject:name
+               (Printf.sprintf "variable <%s> is bound but never used" v)))
+      occs
+  in
+  let no_op =
+    List.filter_map
+      (function
+        | Action.Modify (i, []) ->
+          Some
+            (Finding.warning ~rule:"no-op-modify" ~subject:name
+               (Printf.sprintf "modify of condition %d changes nothing" i))
+        | _ -> None)
+      p.Production.rhs
+  in
+  unused @ no_op
 
 (* --- subsumption / shadowing ----------------------------------------- *)
 
@@ -129,12 +238,14 @@ let split_signed lhs =
 let max_subsume_ces = 8
 
 (* [subsumes p q]: every match of [q] is a match of [p] (p is the more
-   general production). Sound but incomplete: NCC groups and very long
-   LHSs bail out to [false]. *)
+   general production). Sound but incomplete: structurally identical
+   LHSs are accepted first; otherwise NCC groups and very long LHSs bail
+   out to [false]. *)
 let subsumes (p : Production.t) (q : Production.t) =
   let p_pos, p_neg, p_ncc = split_signed p.Production.lhs in
   let q_pos, q_neg, q_ncc = split_signed q.Production.lhs in
-  if p_ncc || q_ncc then false
+  if p.Production.lhs = q.Production.lhs then true
+  else if p_ncc || q_ncc then false
   else if List.length p_pos > max_subsume_ces
           || List.length q_pos > max_subsume_ces
   then false
@@ -478,29 +589,30 @@ let network (net : Network.t) =
 
 (* --- entry points ----------------------------------------------------- *)
 
-let production (p : Production.t) =
-  satisfiability_findings p @ cost_findings p
+let production schema (p : Production.t) =
+  schema_findings schema p @ satisfiability_findings p @ repeat_findings p
+  @ hygiene_findings p @ cost_findings p
 
-let productions prods =
-  let per = List.concat_map production prods in
-  let pairs = pair_findings prods in
-  Finding.report ~checked:(List.length prods) (per @ pairs)
+let check_productions ?net schema prods =
+  Finding.report ~checked:(List.length prods)
+    (List.concat_map (production schema) prods @ pair_findings ?net prods)
+
+let productions schema prods = check_productions schema prods
 
 let source ?net schema src =
-  let suppressed = Finding.suppressed_by ~tool:"analyze" src in
+  let suppressed = Finding.suppressed_by src in
   let prods =
     List.filter_map
       (function Parser.Prod p -> Some p | Parser.Literalize _ -> None)
       (Parser.parse_program schema src)
   in
-  let per = List.concat_map production prods in
-  let pairs = pair_findings ?net prods in
-  let net_report =
-    match net with Some net -> network net | None -> Finding.empty
+  let r =
+    Finding.merge
+      (check_productions ?net schema prods)
+      (match net with Some net -> network net | None -> Finding.empty)
   in
-  let all = per @ pairs @ net_report.Finding.findings in
-  let kept, dropped = List.partition (fun f -> not (suppressed f)) all in
-  Finding.report
-    ~checked:(List.length prods + net_report.Finding.checked)
-    ~suppressed:(List.length dropped)
+  let kept, dropped =
+    List.partition (fun f -> not (suppressed f)) r.Finding.findings
+  in
+  Finding.report ~checked:r.Finding.checked ~suppressed:(List.length dropped)
     kept

@@ -1,19 +1,34 @@
-(** Static network analyzer.
+(** Static production and network analyzer.
 
     Compile-time analysis over production sets and the built Rete
-    network. Three families of rules (stable names, usable in
-    [; analyze: allow <rule> [<subject>]] pragmas):
+    network. One rule list (stable names, usable in
+    [; analyze: allow <rule> [<subject>]] pragmas), by family:
+
+    {b Schema} — the parser rejects these, so they fire only on
+    productions built in code, which is how chunking (§5.1) creates them:
+
+    - [undeclared-class] (error) — a CE or [make] names a class absent
+      from the schema;
+    - [bad-field] (error) — a field index beyond the class arity.
 
     {b Satisfiability} — abstract interpretation of condition tests over
-    {!Domain}:
+    {!Domain}, which folds constants, disjunctions, exclusions and
+    mixed-kind ordering bounds together exactly:
 
     - [unsat-condition] (error) — a positive CE has a field whose test
-      conjunction admits no value: the production can never fire.
-      Strictly stronger than the linter's [unsatisfiable-ce] (the domain
-      folds constants, disjunctions, exclusions and mixed-kind ordering
-      bounds together);
+      conjunction admits no value: the production can never fire;
     - [vacuous-negation] (warning) — a negated CE (or a CE inside an NCC
-      group) that can never match: the negation always passes.
+      group) that can never match: the negation always passes;
+    - [unsatisfiable-production] (error) — a positive CE repeated
+      verbatim as a top-level negation: its own match always blocks it.
+
+    {b Hygiene}:
+
+    - [unused-variable] (warning) — a variable bound once and never
+      consulted again (tests, negations, RHS);
+    - [duplicate-ce] (warning) — the same top-level CE twice with the
+      same sign;
+    - [no-op-modify] (warning) — a [modify] that changes nothing.
 
     {b Redundancy} — condition-set implication under a variable
     substitution:
@@ -28,7 +43,8 @@
     {b Join cost} — the {!Psme_rete.Jcost} static model:
 
     - [cross-product-join] (warning) — a join level sharing no variable
-      with the conditions before it;
+      with the conditions before it (one finding per production, with
+      the levels' predicted share of the scan work);
     - [join-cost] (warning) — the worst-case token count exceeds the
       quadratic bound;
     - [condition-reorder] (warning) — a dependency-respecting reordering
@@ -47,15 +63,17 @@
 open Psme_ops5
 open Psme_rete
 
-val production : Production.t -> Finding.finding list
-(** Per-production rules: satisfiability and join cost. *)
+val production : Schema.t -> Production.t -> Finding.finding list
+(** Per-production rules: schema, satisfiability, hygiene and join
+    cost. *)
 
 val subsumes : Production.t -> Production.t -> bool
 (** [subsumes p q]: every match of [q] is also a match of [p] — [p] is
-    at least as general. Sound but incomplete (NCC groups and LHSs over
-    8 positive CEs give [false]). *)
+    at least as general. Sound but incomplete: structurally identical
+    LHSs give [true]; otherwise NCC groups and LHSs over 8 positive CEs
+    give [false]. *)
 
-val productions : Production.t list -> Finding.report
+val productions : Schema.t -> Production.t list -> Finding.report
 (** Per-production rules plus the pairwise redundancy rules. *)
 
 val network : Network.t -> Finding.report

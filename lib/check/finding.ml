@@ -41,11 +41,9 @@ let exit_code ?(strict = false) r =
 
 (* --- suppression pragmas -------------------------------------------- *)
 
-(* [; <tool>: allow <rule> [<subject>]] comment lines, shared by the
-   linter and the static analyzer so both suppress findings the same
-   way. *)
-let pragmas_of_source ~tool src =
-  let prefix = "; " ^ tool ^ ": allow " in
+(* [; analyze: allow <rule> [<subject>]] comment lines. *)
+let pragmas_of_source src =
+  let prefix = "; analyze: allow " in
   String.split_on_char '\n' src
   |> List.filter_map (fun line ->
          let line = String.trim line in
@@ -62,8 +60,8 @@ let pragmas_of_source ~tool src =
            | [] -> None
          else None)
 
-let suppressed_by ~tool src =
-  let pragmas = pragmas_of_source ~tool src in
+let suppressed_by src =
+  let pragmas = pragmas_of_source src in
   fun f ->
     List.exists
       (fun (rule, prod) ->
@@ -72,30 +70,25 @@ let suppressed_by ~tool src =
       pragmas
 
 let to_json r =
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
+  let open Psme_obs.Json in
   let finding f =
-    Printf.sprintf
-      "{\"severity\": \"%s\", \"rule\": \"%s\", \"subject\": \"%s\", \"detail\": \"%s\"}"
-      (match f.severity with Error -> "error" | Warning -> "warning")
-      (escape f.rule) (escape f.subject) (escape f.detail)
+    Obj
+      [
+        ("severity", Str (match f.severity with Error -> "error" | Warning -> "warning"));
+        ("rule", Str f.rule);
+        ("subject", Str f.subject);
+        ("detail", Str f.detail);
+      ]
   in
-  Printf.sprintf
-    "{\"findings\": [%s], \"errors\": %d, \"warnings\": %d, \"checked\": %d, \"suppressed\": %d}"
-    (String.concat ", " (List.map finding r.findings))
-    (errors r) (warnings r) r.checked r.suppressed
+  to_string
+    (Obj
+       [
+         ("findings", List (List.map finding r.findings));
+         ("errors", Int (errors r));
+         ("warnings", Int (warnings r));
+         ("checked", Int r.checked);
+         ("suppressed", Int r.suppressed);
+       ])
 
 let pp_finding ppf f =
   Format.fprintf ppf "%s[%s] %s: %s"

@@ -1,6 +1,6 @@
 (** Findings: the common currency of the analysis suite.
 
-    Every analyzer — the network verifier, the production linter, the
+    Every analyzer — the network verifier, the static analyzer, the
     race detector — reduces to a list of findings plus a count of the
     units it examined, so the CLI can render them uniformly and turn
     them into stable exit codes. *)
@@ -34,18 +34,19 @@ val exit_code : ?strict:bool -> report -> int
 (** 0 when clean, 1 when the report contains errors — or, under
     [strict], any finding at all. *)
 
-val pragmas_of_source : tool:string -> string -> (string * string option) list
-(** [; <tool>: allow <rule> [<subject>]] comment lines of a source text:
-    (rule, optional subject) pairs. Shared by the linter ([tool:"lint"])
-    and the static analyzer ([tool:"analyze"]). *)
+val pragmas_of_source : string -> (string * string option) list
+(** [; analyze: allow <rule> [<subject>]] comment lines of a source
+    text: (rule, optional subject) pairs. Words after the subject are
+    free text, conventionally the reason. *)
 
-val suppressed_by : tool:string -> string -> finding -> bool
+val suppressed_by : string -> finding -> bool
 (** Predicate over findings: suppressed by one of the source's pragmas
     (rule matches; subject matches or the pragma names none). *)
 
 val to_json : report -> string
-(** Machine-readable rendering: findings with severity/rule/subject/
-    detail plus the error/warning/checked/suppressed counts. *)
+(** Machine-readable rendering (one {!Psme_obs.Json} document): findings
+    with severity/rule/subject/detail plus the error/warning/checked/
+    suppressed counts. *)
 
 val pp_finding : Format.formatter -> finding -> unit
 val pp : Format.formatter -> report -> unit

@@ -76,8 +76,19 @@ let field_of st cls attr =
   | exception Not_found ->
     err st "class %a has no attribute ^%s (missing literalize?)" Sym.pp cls attr
 
+(* [Cond.ce] rejects two constant tests on one field; report that as a
+   parse error at the CE. *)
+let make_ce at cls tests =
+  try Cond.ce cls tests
+  with Invalid_argument _ ->
+    raise
+      (Parse_error
+         ( Format.asprintf "two constant tests on one field of class %a" Sym.pp cls,
+           at ))
+
 let parse_ce_body st =
   (* After the opening paren: class name then ^attr test pairs. *)
+  let at = loc st in
   let cls = Sym.intern (sym st) in
   if not (Schema.declared st.schema cls) then
     err st "undeclared class %a" Sym.pp cls;
@@ -91,8 +102,7 @@ let parse_ce_body st =
     | Lexer.RPAREN -> advance st; List.rev acc
     | t -> err st "expected ^attribute or ), found %a" Lexer.pp_token t
   in
-  let tests = pairs [] in
-  Cond.ce cls tests
+  make_ce at cls (pairs [])
 
 let rec parse_cond st =
   match peek st with
@@ -187,6 +197,7 @@ let attr_value attr = Value.Sym (Sym.intern attr)
    already literalized with a non-triple layout is parsed as a plain
    OPS5 CE instead (used for the architecture's [preference] wmes). *)
 let parse_sugar_ce_body st =
+  let at = loc st in
   let cls = Sym.intern (sym st) in
   if Schema.declared st.schema cls && Schema.arity st.schema cls <> 3 then
     let rec plain_pairs acc =
@@ -199,7 +210,7 @@ let parse_sugar_ce_body st =
       | Lexer.RPAREN -> advance st; List.rev acc
       | t -> err st "expected ^attribute or ), found %a" Lexer.pp_token t
     in
-    [ Cond.ce cls (plain_pairs []) ]
+    [ make_ce at cls (plain_pairs []) ]
   else begin
     declare_triple st cls;
     let id_test =

@@ -1,10 +1,11 @@
-(* The static-analyzer suite: the value domain, condition-set
-   subsumption, the join-cost model and the network rules. The same
-   philosophy as Test_check: every rule is shown both silent on clean
-   input and loud on a planted defect, the planted defects being the
-   ones shipped (suppressed) in programs/analyze.ops5. The cost model
-   is validated the only way a static model can be — by rank
-   correlation against the profiler's measured scan counts. *)
+(* The static-analyzer suite: the value domain, the per-production
+   rules (schema, satisfiability, hygiene), condition-set subsumption,
+   the join-cost model, the network rules, pragmas and the JSON report.
+   The same philosophy as Test_check: every rule is shown both silent
+   on clean input and loud on a planted defect, the planted defects
+   being the ones shipped (suppressed) in programs/analyze.ops5. The
+   cost model is validated the only way a static model can be — by
+   rank correlation against the profiler's measured scan counts. *)
 
 open Psme_support
 open Psme_ops5
@@ -82,20 +83,100 @@ let test_unsat_condition () =
   let schema = blocks_schema () in
   let p = parse schema "(p u (block ^state { > 5 << 1 2 3 >> }) --> (write ok))" in
   Alcotest.(check bool) "unsat positive CE is an error" true
-    (has_rule "unsat-condition" ~subject:"u" (Analyze.production p));
+    (has_rule "unsat-condition" ~subject:"u" (Analyze.production schema p));
   let ok = parse schema "(p ok (block ^state { > 5 << 4 6 7 >> }) --> (write ok))" in
   Alcotest.(check bool) "satisfiable disjunction is clean" false
-    (has_rule "unsat-condition" (Analyze.production ok))
+    (has_rule "unsat-condition" (Analyze.production schema ok))
 
 let test_vacuous_negation () =
   let schema = blocks_schema () in
   let p =
     parse schema "(p v (block ^name <x>) -(block ^state { > 5 < 2 }) --> (write ok))"
   in
-  let fs = Analyze.production p in
+  let fs = Analyze.production schema p in
   Alcotest.(check bool) "impossible negation is vacuous" true
     (has_rule "vacuous-negation" ~subject:"v" fs);
-  Alcotest.(check bool) "but not production-killing" false (has_rule "unsat-condition" fs)
+  Alcotest.(check bool) "but not production-killing" false (has_rule "unsat-condition" fs);
+  Alcotest.(check int) "and no error at all" 0 (Finding.errors (Finding.report fs))
+
+let src_report src = Analyze.source (blocks_schema ()) src
+
+let test_clean_production () =
+  let r =
+    src_report "(p ok (block ^name <x> ^color blue) -(block ^on <x>) --> (write <x>))"
+  in
+  Alcotest.(check (list string)) "no findings" [] (rules r.Finding.findings)
+
+(* The parser rejects unknown classes and same-field constant clashes at
+   parse time, so those rules only matter for productions built in code —
+   which is exactly how chunking creates them. *)
+let raw_prod ?(name = "bad") lhs =
+  Production.make ~name:(Sym.intern name) ~lhs ~rhs:[ Action.Halt ] ()
+
+let prod_rules schema p = rules (Analyze.production schema p)
+
+let test_undeclared () =
+  let schema = blocks_schema () in
+  let widget = { Cond.cls = Sym.intern "widget"; tests = [] } in
+  Alcotest.(check (list string)) "undeclared class" [ "undeclared-class" ]
+    (prod_rules schema (raw_prod [ Cond.Pos widget ]));
+  let bad_field =
+    { Cond.cls = Sym.intern "block"; tests = [ (9, Cond.T_const (Value.sym "x")) ] }
+  in
+  Alcotest.(check (list string)) "unknown field" [ "bad-field" ]
+    (prod_rules schema (raw_prod [ Cond.Pos bad_field ]))
+
+let test_unsatisfiable_ce () =
+  let schema = blocks_schema () in
+  let clash =
+    {
+      Cond.cls = Sym.intern "block";
+      tests =
+        [
+          (1, Cond.T_const (Value.sym "red")); (1, Cond.T_const (Value.sym "blue"));
+        ];
+    }
+  in
+  Alcotest.(check bool) "constant clash" true
+    (List.mem "unsat-condition" (prod_rules schema (raw_prod [ Cond.Pos clash ])));
+  let fires src = rules (src_report src).Finding.findings in
+  Alcotest.(check bool) "empty numeric interval" true
+    (List.mem "unsat-condition"
+       (fires "(p bad (block ^state { > 5 < 2 }) --> (write ok))"));
+  (* a non-strict bound tightening after a strict one keeps the point 3 *)
+  Alcotest.(check (list string)) "point interval after a strict bound" []
+    (fires "(p ok (block ^state { < 5 <= 3 >= 3 }) --> (write ok))");
+  Alcotest.(check bool) "strict bound empties the point" true
+    (List.mem "unsat-condition"
+       (fires "(p bad (block ^state { < 5 <= 3 > 3 }) --> (write ok))"))
+
+let test_never_fires () =
+  let r = src_report "(p bad (block ^color red) -(block ^color red) --> (write ok))" in
+  Alcotest.(check bool) "positive CE also negated" true
+    (has_rule "unsatisfiable-production" ~subject:"bad" r.Finding.findings)
+
+let test_unused_and_duplicates () =
+  let r =
+    src_report
+      "(p a (block ^name <x> ^on <y>) --> (write <x>))\n\
+       (p b (block ^color red) (block ^color red) --> (write ok))"
+  in
+  let fs = r.Finding.findings in
+  Alcotest.(check bool) "unused variable" true (has_rule "unused-variable" ~subject:"a" fs);
+  Alcotest.(check bool) "duplicate CE" true (has_rule "duplicate-ce" ~subject:"b" fs)
+
+let test_pragma_suppression () =
+  let src =
+    "; analyze: allow unused-variable a  -- the reason\n\
+     (p a (block ^name <x> ^on <y>) --> (write <x>))"
+  in
+  let r = src_report src in
+  Alcotest.(check (list string)) "finding suppressed" [] (rules r.Finding.findings);
+  Alcotest.(check int) "suppression counted" 1 r.Finding.suppressed;
+  Alcotest.(check (list (pair string (option string))))
+    "pragma parsed"
+    [ ("unused-variable", Some "a") ]
+    (Finding.pragmas_of_source src)
 
 let test_subsumes_direction () =
   let schema = blocks_schema () in
@@ -127,11 +208,34 @@ let test_shadowed_pair_rules () =
   let q = parse schema "(p p2 (block ^name <b>) (block ^name <a> ^on <b>) --> (write ok))" in
   Alcotest.(check bool) "renamed+reordered pair is mutual" true
     (Analyze.subsumes p q && Analyze.subsumes q p);
-  let r = Analyze.productions [ p; q ] in
+  let r = Analyze.productions schema [ p; q ] in
   Alcotest.(check bool) "reported once as shadowed-pair" true
     (has_rule "shadowed-pair" ~subject:"p2" r.Finding.findings);
   Alcotest.(check bool) "not also as subsumed-production" false
     (has_rule "subsumed-production" r.Finding.findings)
+
+let test_identical_lhs_shadowed () =
+  let schema = blocks_schema () in
+  let ncc name =
+    parse schema
+      (Printf.sprintf
+         "(p %s (block ^name <x>) -{(block ^on <x>) (block ^color red)} --> (write %s))"
+         name name)
+  in
+  let wide name =
+    let ces =
+      List.init 9 (fun i -> Printf.sprintf "(block ^name <b%d> ^on <b%d>)" i (i + 1))
+    in
+    parse schema
+      (Printf.sprintf "(p %s %s --> (write <b0> <b9> %s))" name
+         (String.concat " " ces) name)
+  in
+  let shadowed p q =
+    has_rule "shadowed-pair" ~subject:"q"
+      (Analyze.productions schema [ p; q ]).Finding.findings
+  in
+  Alcotest.(check bool) "identical NCC productions" true (shadowed (ncc "p") (ncc "q"));
+  Alcotest.(check bool) "identical 9-CE productions" true (shadowed (wide "p") (wide "q"))
 
 (* --- the join-cost model ------------------------------------------------------- *)
 
@@ -195,8 +299,8 @@ let fixture () =
   (schema, src, prods, net)
 
 let test_fixture_plants () =
-  let _, _, prods, net = fixture () in
-  let r = Analyze.productions prods in
+  let schema, _, prods, net = fixture () in
+  let r = Analyze.productions schema prods in
   let fs = r.Finding.findings in
   Alcotest.(check bool) "planted shadowed pair" true
     (has_rule "shadowed-pair" ~subject:"ship-crate-again" fs);
@@ -219,6 +323,50 @@ let test_fixture_suppressed_clean () =
   Alcotest.(check (list string)) "pragmas silence every plant" [] (rules r.Finding.findings);
   Alcotest.(check bool) "suppressions are counted" true (r.Finding.suppressed >= 6);
   Alcotest.(check int) "gate exit code clean" 0 (Finding.exit_code r)
+
+let test_shipped_programs () =
+  (* the gate: every bundled program, built into a network, is clean
+     under --strict *)
+  let check_file path =
+    let schema = Schema.create () in
+    Psme_soar.Agent.prepare_schema schema;
+    let src = Test_check.read_file path in
+    let net = Network.create schema in
+    List.iter
+      (fun p -> ignore (Build.add_production net p))
+      (Parser.productions schema src);
+    let r = Analyze.source ~net schema src in
+    Alcotest.(check (list string)) (path ^ " findings") [] (rules r.Finding.findings);
+    Alcotest.(check int) (path ^ " strict-clean") 0 (Finding.exit_code ~strict:true r)
+  in
+  List.iter check_file
+    [ "programs/blocks.ops5"; "programs/selection.soar"; "programs/analyze.ops5" ]
+
+let test_json_roundtrip () =
+  let fs =
+    [
+      Finding.error ~rule:"unsat-condition" ~subject:"p\"q" "a \\ b\nc \"d\"";
+      Finding.warning ~rule:"join-cost" ~subject:"r" "plain";
+    ]
+  in
+  let module J = Psme_obs.Json in
+  let j =
+    match J.parse (Finding.to_json (Finding.report ~checked:7 ~suppressed:2 fs)) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let str k o = match J.member k o with Some (J.Str s) -> s | _ -> Alcotest.fail k in
+  let count k = match J.member k j with Some (J.Int n) -> n | _ -> Alcotest.fail k in
+  let finding o =
+    (if str "severity" o = "error" then Finding.error else Finding.warning)
+      ~rule:(str "rule" o) ~subject:(str "subject" o) (str "detail" o)
+  in
+  let back =
+    match J.member "findings" j with Some (J.List l) -> List.map finding l | _ -> []
+  in
+  Alcotest.(check bool) "findings survive" true (back = fs);
+  Alcotest.(check (list int)) "counts survive" [ 1; 1; 7; 2 ]
+    [ count "errors"; count "warnings"; count "checked"; count "suppressed" ]
 
 (* --- network rules under fault injection ---------------------------------------- *)
 
@@ -596,6 +744,16 @@ let suite =
     Alcotest.test_case "analyze: vacuous negation" `Quick test_vacuous_negation;
     Alcotest.test_case "analyze: subsumption direction" `Quick test_subsumes_direction;
     Alcotest.test_case "analyze: shadowed pair" `Quick test_shadowed_pair_rules;
+    Alcotest.test_case "analyze: clean production" `Quick test_clean_production;
+    Alcotest.test_case "analyze: undeclared class/field" `Quick test_undeclared;
+    Alcotest.test_case "analyze: unsatisfiable ce" `Quick test_unsatisfiable_ce;
+    Alcotest.test_case "analyze: never fires" `Quick test_never_fires;
+    Alcotest.test_case "analyze: unused + duplicates" `Quick test_unused_and_duplicates;
+    Alcotest.test_case "analyze: pragma suppression" `Quick test_pragma_suppression;
+    Alcotest.test_case "analyze: identical LHSs are shadowed" `Quick
+      test_identical_lhs_shadowed;
+    Alcotest.test_case "analyze: shipped programs" `Quick test_shipped_programs;
+    Alcotest.test_case "analyze: json round trip" `Quick test_json_roundtrip;
     Alcotest.test_case "jcost: chain shapes" `Quick test_jcost_shapes;
     Alcotest.test_case "jcost: suggests selective-first" `Quick
       test_jcost_suggest_selective_first;

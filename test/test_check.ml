@@ -1,8 +1,8 @@
-(* The correctness-analysis suite: network/state verifier, production
-   linter, race detector. The fault-injection tests are the point: a
-   verifier that never fires is indistinguishable from no verifier, so
-   each analyzer is shown both clean on correct runs and loud under a
-   seeded §5.2 / §6.1 bug. *)
+(* The correctness-analysis suite: network/state verifier and race
+   detector (the static analyzer has its own suite, Test_analyze). The
+   fault-injection tests are the point: a verifier that never fires is
+   indistinguishable from no verifier, so each analyzer is shown both
+   clean on correct runs and loud under a seeded §5.2 / §6.1 bug. *)
 
 open Psme_support
 open Psme_ops5
@@ -323,88 +323,7 @@ let prop_update_tasks_match_reference =
           (Format.pp_print_list ~pp_sep:Format.pp_print_space Task.pp)
           expected)
 
-(* --- linter ------------------------------------------------------------------- *)
-
-let lint_src src =
-  let schema = blocks_schema () in
-  Lint.source schema src
-
-let rules report =
-  List.map (fun f -> f.Finding.rule) report.Finding.findings |> List.sort_uniq compare
-
-let test_lint_clean () =
-  let r =
-    lint_src "(p ok (block ^name <x> ^color blue) -(block ^on <x>) --> (write <x>))"
-  in
-  Alcotest.(check (list string)) "no findings" [] (rules r)
-
-(* The parser rejects unknown classes and same-field constant clashes at
-   parse time, so those lint rules only matter for productions built
-   programmatically — which is exactly how chunking creates them. *)
-let raw_prod ?(name = "bad") lhs =
-  Production.make ~name:(Sym.intern name) ~lhs ~rhs:[ Action.Halt ] ()
-
-let prod_rules schema p = List.map (fun f -> f.Finding.rule) (Lint.production schema p)
-
-let test_lint_undeclared () =
-  let schema = blocks_schema () in
-  let widget = { Cond.cls = Sym.intern "widget"; tests = [] } in
-  Alcotest.(check (list string)) "undeclared class" [ "undeclared-class" ]
-    (prod_rules schema (raw_prod [ Cond.Pos widget ]));
-  let bad_field =
-    { Cond.cls = Sym.intern "block"; tests = [ (9, Cond.T_const (Value.sym "x")) ] }
-  in
-  Alcotest.(check (list string)) "unknown field" [ "bad-field" ]
-    (prod_rules schema (raw_prod [ Cond.Pos bad_field ]))
-
-let test_lint_unsatisfiable_ce () =
-  let schema = blocks_schema () in
-  let clash =
-    {
-      Cond.cls = Sym.intern "block";
-      tests =
-        [
-          (1, Cond.T_const (Value.sym "red")); (1, Cond.T_const (Value.sym "blue"));
-        ];
-    }
-  in
-  Alcotest.(check bool) "constant clash" true
-    (List.mem "unsatisfiable-ce" (prod_rules schema (raw_prod [ Cond.Pos clash ])));
-  let r2 = lint_src "(p bad (block ^state { > 5 < 2 }) --> (write ok))" in
-  Alcotest.(check bool) "empty numeric interval" true
-    (List.mem "unsatisfiable-ce" (rules r2))
-
-let test_lint_never_fires () =
-  let r =
-    lint_src
-      "(p bad (block ^color red) -(block ^color red) --> (write ok))"
-  in
-  Alcotest.(check bool) "positive CE also negated" true
-    (List.mem "unsatisfiable-production" (rules r))
-
-let test_lint_unused_and_duplicates () =
-  let r =
-    lint_src
-      "(p a (block ^name <x> ^on <y>) --> (write <x>))\n\
-       (p b (block ^color red) (block ^color red) --> (write ok))"
-  in
-  let rs = rules r in
-  Alcotest.(check bool) "unused variable" true (List.mem "unused-variable" rs);
-  Alcotest.(check bool) "duplicate CE" true (List.mem "duplicate-ce" rs)
-
-let test_lint_pragma_suppression () =
-  let src =
-    "; lint: allow unused-variable a\n\
-     (p a (block ^name <x> ^on <y>) --> (write <x>))"
-  in
-  let r = lint_src src in
-  Alcotest.(check (list string)) "finding suppressed" [] (rules r);
-  Alcotest.(check int) "suppression counted" 1 r.Finding.suppressed;
-  Alcotest.(check (list (pair string (option string))))
-    "pragma parsed"
-    [ ("unused-variable", Some "a") ]
-    (Lint.pragmas_of_source src)
-
+(* Shipped sources (programs/), shared with Test_analyze. *)
 let read_file path =
   let path =
     (* dune runtest sandboxes the test one level below the workspace *)
@@ -416,20 +335,6 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
-
-let test_lint_shipped_programs () =
-  (* the satellite gate: the bundled programs lint clean, strictly *)
-  let check_file path =
-    let schema = Schema.create () in
-    Psme_soar.Agent.prepare_schema schema;
-    let r = Lint.source schema (read_file path) in
-    Alcotest.(check int)
-      (Printf.sprintf "%s strict-clean" path)
-      0
-      (Finding.exit_code ~strict:true r)
-  in
-  check_file "programs/blocks.ops5";
-  check_file "programs/selection.soar"
 
 (* --- race detector ------------------------------------------------------------ *)
 
@@ -547,15 +452,6 @@ let suite =
     Alcotest.test_case "update: empty batch" `Quick test_update_empty_batch;
     Alcotest.test_case "update: fully shared chunk" `Quick
       test_update_fully_shared_chunk;
-    Alcotest.test_case "lint: clean production" `Quick test_lint_clean;
-    Alcotest.test_case "lint: undeclared class/field" `Quick test_lint_undeclared;
-    Alcotest.test_case "lint: unsatisfiable ce" `Quick test_lint_unsatisfiable_ce;
-    Alcotest.test_case "lint: never fires" `Quick test_lint_never_fires;
-    Alcotest.test_case "lint: unused + duplicates" `Quick
-      test_lint_unused_and_duplicates;
-    Alcotest.test_case "lint: pragma suppression" `Quick
-      test_lint_pragma_suppression;
-    Alcotest.test_case "lint: shipped programs" `Quick test_lint_shipped_programs;
     Alcotest.test_case "races: synthetic pair" `Quick test_races_synthetic;
     Alcotest.test_case "races: ordered and locked" `Quick
       test_races_ordered_and_locked;

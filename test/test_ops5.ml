@@ -144,7 +144,18 @@ let test_parse_errors () =
   (* RHS with unbound variable *)
   expect_parse_error "(p bad (block ^name b1) --> (write <nope>))";
   (* first condition negated *)
-  expect_parse_error "(p bad -(block ^name b1) (hand ^state free) --> (halt))"
+  expect_parse_error "(p bad -(block ^name b1) (hand ^state free) --> (halt))";
+  (* two constants on one field, plain and inside an sp form: a parse
+     error at the CE's line *)
+  let line_of src =
+    match Parser.parse_program (Fixtures.schema_with ()) src with
+    | _ -> Alcotest.fail "expected Parse_error"
+    | exception Parser.Parse_error (_, { Lexer.line }) -> line
+  in
+  Alcotest.(check int) "plain CE" 2
+    (line_of "(p bad (hand ^state free)\n (block ^name b1 ^name b2) --> (halt))");
+  Alcotest.(check int) "sp plain-class CE" 2
+    (line_of "(sp bad\n (block ^color red ^color blue) --> (halt))")
 
 let test_parse_literalize_inline () =
   let s = Schema.create () in

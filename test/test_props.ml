@@ -578,7 +578,7 @@ let prop_parse_print_roundtrip =
               Production.num_ces p = Production.num_ces p'
               && Production.bound_vars p = Production.bound_vars p'
             | exception _ -> false)
-          | exception _ -> true)
+          | exception (Parser.Parse_error _ | Lexer.Lex_error _) -> true)
         srcs)
 
 let prop_lexer_total =
@@ -588,6 +588,85 @@ let prop_lexer_total =
       match Lexer.tokenize src with
       | toks -> Array.length toks >= 1
       | exception Lexer.Lex_error _ -> true)
+
+(* Programs drawn from the grammar alone, not shaped for the matcher:
+   fields repeat within a CE, tests nest, NCC groups nest, RHS indices
+   run past the LHS and variables may be unbound. Each rule opens with a
+   positive CE so that most programs get past the first-CE check. *)
+let gen_program =
+  let open QCheck.Gen in
+  let const = oneofl [ "red"; "blue"; "a"; "nil"; "1"; "2.5"; "|s t|" ] in
+  let var = map (Printf.sprintf "<%s>") (oneofl [ "x"; "y"; "z" ]) in
+  let rel = oneofl [ "="; "<>"; "<"; "<="; ">"; ">=" ] in
+  let rec test depth =
+    frequency
+      ([
+         (4, const);
+         (3, var);
+         (2, map2 (Printf.sprintf "%s %s") rel (oneof [ const; var ]));
+         ( 1,
+           map (fun cs -> "<< " ^ String.concat " " cs ^ " >>")
+             (list_size (int_bound 3) const) );
+       ]
+      @
+      if depth = 0 then []
+      else
+        [
+          ( 1,
+            map (fun ts -> "{ " ^ String.concat " " ts ^ " }")
+              (list_size (int_range 1 3) (test (depth - 1))) );
+        ])
+  in
+  let pair =
+    map2 (Printf.sprintf " ^%s %s") (oneofl [ "name"; "color"; "on"; "state" ]) (test 2)
+  in
+  let ce =
+    map2
+      (fun cls pairs -> Printf.sprintf "(%s%s)" cls (String.concat "" pairs))
+      (frequencyl [ (24, "block"); (1, "widget") ])
+      (list_size (int_bound 4) pair)
+  in
+  let rec cond depth =
+    frequency
+      ([ (6, ce); (2, map (( ^ ) "-") ce) ]
+      @
+      if depth = 0 then []
+      else
+        [
+          ( 1,
+            map (fun cs -> "-{" ^ String.concat " " cs ^ "}")
+              (list_size (int_range 1 3) (cond (depth - 1))) );
+        ])
+  in
+  let action =
+    let* i = int_bound 6 and* x = var in
+    oneofl
+      [
+        "(halt)";
+        Printf.sprintf "(write ok %s)" x;
+        Printf.sprintf "(remove %d)" i;
+        Printf.sprintf "(modify %d block ^color red ^on %s)" i x;
+        Printf.sprintf "(make block ^name %s)" x;
+      ]
+  in
+  let rule =
+    let* sp = frequency [ (3, return false); (1, return true) ] in
+    let* first = ce and* rest = list_size (int_bound 3) (cond 2) in
+    let* actions = list_size (int_range 1 3) action in
+    return
+      (Printf.sprintf "(%s r %s --> %s)" (if sp then "sp" else "p")
+         (String.concat " " (first :: rest))
+         (String.concat " " actions))
+  in
+  map (String.concat "\n") (list_size (int_range 1 3) rule)
+
+let prop_parser_total =
+  QCheck.Test.make ~count:300 ~name:"parser never crashes (only Parse_error/Lex_error)"
+    (QCheck.make ~print:Fun.id gen_program)
+    (fun src ->
+      match Parser.parse_program (blocks_schema ()) src with
+      | _ -> true
+      | exception (Parser.Parse_error _ | Lexer.Lex_error _) -> true)
 
 let prop_single_line_memory_equivalent =
   (* with a single hash line every activation contends on one lock;
@@ -645,6 +724,7 @@ let suite =
       prop_stats_merge_consistent;
       prop_parse_print_roundtrip;
       prop_lexer_total;
+      prop_parser_total;
       prop_single_line_memory_equivalent;
       prop_excise_then_rebuild;
     ]
