@@ -66,14 +66,17 @@ bench-gate:
 # workloads: PAIRS pairs per workload, alternating which side runs
 # first; every run to _perfbench-ab/ab.jsonl, then medians, quartiles
 # and win counts per workload and metric. TRACE=1 adds the per-layer
-# metrics, e.g.
+# metrics; pair k runs seed FIRST_SEED+k-1, so FIRST_SEED=11 reruns a
+# comparison on held-out seeds, e.g.
 #   make perfbench-ab BASE=HEAD~1 PAIRS=3 TRACE=1
+#   make perfbench-ab BASE=HEAD~1 PAIRS=3 FIRST_SEED=11
 PAIRS ?= 10
 TRACE ?= 0
+FIRST_SEED ?= 1
 perfbench-ab:
-	@test -n "$(BASE)" || { echo "usage: make perfbench-ab BASE=<rev> [PAIRS=10] [TRACE=0|1]"; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make perfbench-ab BASE=<rev> [PAIRS=10] [TRACE=0|1] [FIRST_SEED=1]"; exit 2; }
 	dune build tools/perfbench_ab.exe
-	./_build/default/tools/perfbench_ab.exe --base $(BASE) --pairs $(PAIRS) --trace $(TRACE)
+	./_build/default/tools/perfbench_ab.exe --base $(BASE) --pairs $(PAIRS) --trace $(TRACE) --first-seed $(FIRST_SEED)
 
 clean:
 	dune clean

@@ -770,11 +770,7 @@ let analyze_source_file ~reorder ~json file =
   close_in ic;
   let schema = Schema.create () in
   Agent.prepare_schema schema;
-  let prods =
-    List.filter_map
-      (function Parser.Prod p -> Some p | Parser.Literalize _ -> None)
-      (Parser.parse_program schema src)
-  in
+  let prods = Parser.productions schema src in
   (* the network rules need a built network; a build failure downgrades
      to source-only analysis rather than masking the other rules *)
   let net =
@@ -789,7 +785,7 @@ let analyze_source_file ~reorder ~json file =
         file msg;
       None
   in
-  let report = Psme_check.Analyze.source ?net schema src in
+  let report = Psme_check.Analyze.source ?net schema ~src prods in
   print_analyze file report json;
   report
 
@@ -821,23 +817,21 @@ let analyze_cmd_impl files task strict json reorder =
   | _ :: _, Some _ ->
     prerr_endline "give either source files or --workload, not both";
     2
-  | files, None -> (
-    try
-      let report =
-        List.fold_left
-          (fun acc file ->
-            Psme_check.Finding.merge acc
-              (analyze_source_file ~reorder ~json file))
-          Psme_check.Finding.empty files
-      in
-      Psme_check.Finding.exit_code ~strict report
-    with
-    | Parser.Parse_error (msg, { Lexer.line }) ->
-      Format.eprintf "parse error at line %d: %s@." line msg;
-      2
-    | Lexer.Lex_error (msg, { Lexer.line }) ->
-      Format.eprintf "lex error at line %d: %s@." line msg;
-      2)
+  | files, None ->
+    (* the first file that fails to parse ends the run, named *)
+    let rec go acc = function
+      | [] -> Psme_check.Finding.exit_code ~strict acc
+      | file :: rest -> (
+        match analyze_source_file ~reorder ~json file with
+        | report -> go (Psme_check.Finding.merge acc report) rest
+        | exception Parser.Parse_error (msg, { Lexer.line }) ->
+          Format.eprintf "%s: parse error at line %d: %s@." file line msg;
+          2
+        | exception Lexer.Lex_error (msg, { Lexer.line }) ->
+          Format.eprintf "%s: lex error at line %d: %s@." file line msg;
+          2)
+    in
+    go Psme_check.Finding.empty files
   | [], Some task -> (
     let targets =
       if task = "all" then Ok workloads

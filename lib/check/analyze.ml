@@ -599,13 +599,8 @@ let check_productions ?net schema prods =
 
 let productions schema prods = check_productions schema prods
 
-let source ?net schema src =
+let source ?net schema ~src prods =
   let suppressed = Finding.suppressed_by src in
-  let prods =
-    List.filter_map
-      (function Parser.Prod p -> Some p | Parser.Literalize _ -> None)
-      (Parser.parse_program schema src)
-  in
   let r =
     Finding.merge
       (check_productions ?net schema prods)

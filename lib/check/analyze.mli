@@ -83,8 +83,10 @@ val static_costs : Production.t list -> (string * float) list
 (** Predicted worst-case chain cost per production (model units) — the
     static side of the profiler-correlation validation. *)
 
-val source : ?net:Network.t -> Schema.t -> string -> Finding.report
-(** Parse a program (applying [literalize] forms to the schema), run
-    every rule — the network rules only when [net] is given — and apply
-    the source's [; analyze: allow] pragmas. Raises
-    {!Parser.Parse_error} as the parser does. *)
+val source :
+  ?net:Network.t -> Schema.t -> src:string -> Production.t list -> Finding.report
+(** [source schema ~src prods]: run every rule over [prods], the
+    productions parsed from the program [src] — the network rules only
+    when [net] is given — and apply [src]'s [; analyze: allow]
+    pragmas. The caller parses [src] once, for the network and for
+    this report. *)

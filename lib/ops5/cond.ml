@@ -25,15 +25,17 @@ type t =
 
 let ce cls tests =
   let tests = List.stable_sort (fun (a, _) (b, _) -> Stdlib.compare a b) tests in
-  let rec check = function
-    | (f1, T_const _) :: ((f2, T_const _) :: _ as rest) ->
-      if f1 = f2 then
+  (* sorted, so a field's tests are contiguous: carry the field of the
+     last constant seen, whatever tests lie between it and the next *)
+  let rec check const_fld = function
+    | (f, T_const _) :: rest ->
+      if f = const_fld then
         invalid_arg "Cond.ce: two constant tests on the same field";
-      check rest
-    | _ :: rest -> check rest
+      check f rest
+    | _ :: rest -> check const_fld rest
     | [] -> ()
   in
-  check tests;
+  check (-1) tests;
   { cls; tests }
 
 let eval_relation rel actual expected =

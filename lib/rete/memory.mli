@@ -80,8 +80,13 @@ val left_add :
 val left_remove :
   t -> node:int -> khash:int -> Token.t -> [ `Deactivated of left_entry | `Inert ]
 (** [`Deactivated] when the count crossed to 0 (caller emits deletes);
-    [`Inert] records an early delete (tombstone). {!left_delete}
-    without the variant. *)
+    [`Inert] records an early delete (tombstone). The deactivated
+    entry's [l_token] is the stored copy: the token the add activated,
+    which the node's successors extended when they stored theirs. It is
+    content-equal to the argument, which on a delete wave is a
+    re-derived token; retracting through the stored copy lets every
+    later {!Token.equal} stop at the first parent the tokens share.
+    {!left_delete} without the variant. *)
 
 val inert : left_entry
 (** What {!left_insert} and {!left_delete} return when the change
@@ -92,7 +97,8 @@ val left_insert :
 (** {!left_add}'s primitive: the activated entry, or {!inert}. *)
 
 val left_delete : t -> node:int -> khash:int -> Token.t -> left_entry
-(** {!left_remove}'s primitive: the deactivated entry, or {!inert}. *)
+(** {!left_remove}'s primitive: the deactivated entry, whose [l_token]
+    is the stored copy successors extended, or {!inert}. *)
 
 val left_fold :
   t -> node:int -> khash:int -> stage:('x -> 'test) -> 'x ->

@@ -598,16 +598,24 @@ let sizes kind =
 (* Every two-input activation is one of three shapes, each a static
    function the node's per-port handler calls with its compiled pieces:
    the handler is the only closure per port. The line-lock section runs
-   inline; the scans stage their test only on a non-empty chain. *)
+   inline; the scans stage their test only on a non-empty chain. A live
+   left change continues with the memory entry's token, so a delete
+   wave retracts through the copies the successors stored (§6.1: each
+   delete must find its stored copy), not through re-derived ones. *)
 
 (* Join shape, left port: change the left memory; when the change is
    live (refs crossed 1 or 0), fold the right chain through the staged
-   test and emit one extended token per match. *)
+   test and extend the live entry's token by each match. On an add that
+   is [token] itself; on a delete it is the stored copy the successors
+   extended, so their equality checks (a child's memory probe, an NCC
+   prefix, the conflict set) stop at the first parent the two tokens
+   physically share. A local ref carries it and allocates nothing. *)
 let join_left n mem ~stage ~step ~extend kh flag token =
   let nid = n.id in
   let line = Memory.line_of mem ~khash:kh in
   let locked = enter mem ~line in
   let scanned = ref 0 in
+  let stored = ref token in
   match
     let e =
       match flag with
@@ -616,6 +624,7 @@ let join_left n mem ~stage ~step ~extend kh flag token =
     in
     if e == Memory.inert then []
     else begin
+      stored := e.Memory.l_token;
       scanned := Memory.right_population mem ~khash:kh;
       Memory.right_fold mem ~node:nid ~khash:kh ~stage token step []
     end
@@ -623,7 +632,7 @@ let join_left n mem ~stage ~step ~extend kh flag token =
   | ms ->
     leave mem ~line locked;
     sectioned ~cost_class:Two_input_task ~node:nid ~line ~locked ~scanned:!scanned
-      (emit_extended n flag extend token ms)
+      (emit_extended n flag extend !stored ms)
   | exception ex ->
     leave mem ~line locked;
     raise ex
@@ -656,12 +665,14 @@ let join_right n mem ~stage ~extend kh flag x payload =
 
 (* Negative shape, left port (negative and NCC nodes): an add counts the
    token's matching right entries and stores the count with the token;
-   the token passes when it is live and unblocked. *)
+   the token passes when it is live and unblocked. A passing delete
+   emits the entry's stored token, as {!join_left} extends it. *)
 let neg_left n mem ~stage ~step kh flag token =
   let nid = n.id in
   let line = Memory.line_of mem ~khash:kh in
   let locked = enter mem ~line in
   let scanned = ref 0 in
+  let stored = ref token in
   match
     match flag with
     | Task.Add ->
@@ -671,12 +682,13 @@ let neg_left n mem ~stage ~step kh flag token =
       && count = 0
     | Task.Delete ->
       let e = Memory.left_delete mem ~node:nid ~khash:kh token in
+      stored := e.Memory.l_token;
       e != Memory.inert && e.Memory.l_count = 0
   with
   | pass ->
     leave mem ~line locked;
     sectioned ~cost_class:Two_input_task ~node:nid ~line ~locked ~scanned:!scanned
-      (if pass then emit n flag token else [||])
+      (if pass then emit n flag !stored else [||])
   | exception ex ->
     leave mem ~line locked;
     raise ex

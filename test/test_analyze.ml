@@ -99,7 +99,9 @@ let test_vacuous_negation () =
   Alcotest.(check bool) "but not production-killing" false (has_rule "unsat-condition" fs);
   Alcotest.(check int) "and no error at all" 0 (Finding.errors (Finding.report fs))
 
-let src_report src = Analyze.source (blocks_schema ()) src
+let src_report src =
+  let schema = blocks_schema () in
+  Analyze.source schema ~src (Parser.productions schema src)
 
 let test_clean_production () =
   let r =
@@ -318,8 +320,8 @@ let test_fixture_plants () =
   Alcotest.(check bool) "network errors are errors" true (Finding.errors nr > 0)
 
 let test_fixture_suppressed_clean () =
-  let schema, src, _, net = fixture () in
-  let r = Analyze.source ~net schema src in
+  let schema, src, prods, net = fixture () in
+  let r = Analyze.source ~net schema ~src prods in
   Alcotest.(check (list string)) "pragmas silence every plant" [] (rules r.Finding.findings);
   Alcotest.(check bool) "suppressions are counted" true (r.Finding.suppressed >= 6);
   Alcotest.(check int) "gate exit code clean" 0 (Finding.exit_code r)
@@ -331,11 +333,10 @@ let test_shipped_programs () =
     let schema = Schema.create () in
     Psme_soar.Agent.prepare_schema schema;
     let src = Test_check.read_file path in
+    let prods = Parser.productions schema src in
     let net = Network.create schema in
-    List.iter
-      (fun p -> ignore (Build.add_production net p))
-      (Parser.productions schema src);
-    let r = Analyze.source ~net schema src in
+    List.iter (fun p -> ignore (Build.add_production net p)) prods;
+    let r = Analyze.source ~net schema ~src prods in
     Alcotest.(check (list string)) (path ^ " findings") [] (rules r.Finding.findings);
     Alcotest.(check int) (path ^ " strict-clean") 0 (Finding.exit_code ~strict:true r)
   in

@@ -155,7 +155,12 @@ let test_parse_errors () =
   Alcotest.(check int) "plain CE" 2
     (line_of "(p bad (hand ^state free)\n (block ^name b1 ^name b2) --> (halt))");
   Alcotest.(check int) "sp plain-class CE" 2
-    (line_of "(sp bad\n (block ^color red ^color blue) --> (halt))")
+    (line_of "(sp bad\n (block ^color red ^color blue) --> (halt))");
+  (* ... also with another test on the field between them *)
+  Alcotest.(check int) "plain CE, test between" 2
+    (line_of "(p bad (hand ^state free)\n (block ^name b1 ^name <v> ^name b2) --> (halt))");
+  Alcotest.(check int) "sp plain-class CE, test between" 2
+    (line_of "(sp bad\n (block ^color red ^color <> green ^color blue) --> (halt))")
 
 let test_parse_literalize_inline () =
   let s = Schema.create () in

@@ -610,6 +610,12 @@ let test_workload_equivalence () =
    unnoticed. What is left: the outcome record, the memory item, and in
    the second case the staged test, one match cons, the extended token,
    its task and the children array. *)
+(* the id of the first node of [net] whose kind satisfies [p] *)
+let first_node net p =
+  Network.fold_nodes net ~init:None ~f:(fun acc n ->
+      match acc with None when p n.Network.kind -> Some n.Network.id | _ -> acc)
+  |> Option.get
+
 let join_fixture () =
   let schema, net =
     Fixtures.network_of
@@ -618,13 +624,7 @@ let join_fixture () =
                  (block ^on <x> ^name <> <o> ^color <> <c> ^state <> <s>)
                  --> (write j))|}
   in
-  let node =
-    Network.fold_nodes net ~init:None ~f:(fun acc n ->
-        match (acc, n.Network.kind) with
-        | None, Network.Join _ -> Some n.Network.id
-        | _ -> acc)
-    |> Option.get
-  in
+  let node = first_node net (function Network.Join _ -> true | _ -> false) in
   let block tag pairs =
     Wme.make ~cls:(Sym.intern "block")
       ~fields:
@@ -708,6 +708,49 @@ let test_activation_allocation () =
     (Printf.sprintf "new bucket key: %.2f words per add <= 6" per_key)
     true (per_key <= 6.01)
 
+(* A delete wave retracts through the memory's own copy of a token. A
+   live left delete continues with the entry's stored token, not with
+   the re-derived copy that arrived: the join extends the stored token,
+   the negative node emits it. Each equality check further down (a
+   child's memory probe, an NCC prefix, the conflict set) then stops at
+   the first parent the two tokens physically share instead of walking
+   the whole token. *)
+let test_retract_through_stored_token () =
+  let check_children what o want =
+    Alcotest.(check bool) (what ^ ": emits") true (Array.length o.Runtime.children > 0);
+    Array.iter
+      (function
+        | Task.Left { token; _ } ->
+          Alcotest.(check bool) (what ^ ": the stored token") true (want token)
+        | _ -> Alcotest.fail (what ^ ": expected a left task"))
+      o.Runtime.children
+  in
+  (* a join with one matching right wme *)
+  let net, node, block = join_fixture () in
+  let r = block 1 [ ("name", "rn"); ("color", "rc"); ("on", "kb"); ("state", "rs") ] in
+  ignore (Runtime.exec net (Task.Right { node; flag = Task.Add; wme = r }));
+  let l = block 2 [ ("name", "kb"); ("color", "lc"); ("on", "lo"); ("state", "ls") ] in
+  let stored = Token.singleton l and copy = Token.singleton l in
+  ignore (Runtime.exec net (Task.Left { node; flag = Task.Add; token = stored }));
+  check_children "join delete"
+    (Runtime.exec net (Task.Left { node; flag = Task.Delete; token = copy }))
+    (fun child -> Token.prefix child (Token.length child - 1) == stored);
+  (* a negative node with no blocking right wme *)
+  let schema, net =
+    Fixtures.network_of "(p nscan (block ^name <x>) -(block ^on <x>) --> (write n))"
+  in
+  let node = first_node net (function Network.Neg _ -> true | _ -> false) in
+  let l =
+    Wme.make ~cls:(Sym.intern "block")
+      ~fields:(Fixtures.fields schema "block" [ ("name", Fixtures.sym "kb") ])
+      ~timetag:3
+  in
+  let stored = Token.singleton l and copy = Token.singleton l in
+  ignore (Runtime.exec net (Task.Left { node; flag = Task.Add; token = stored }));
+  check_children "negative delete"
+    (Runtime.exec net (Task.Left { node; flag = Task.Delete; token = copy }))
+    (fun child -> child == stored)
+
 let suite =
   [
     Alcotest.test_case "deque: owner LIFO" `Quick test_deque_owner_lifo;
@@ -726,6 +769,8 @@ let suite =
       test_parallel_trace_race_free;
     Alcotest.test_case "runtime: activation allocation budget" `Quick
       test_activation_allocation;
+    Alcotest.test_case "runtime: deletes retract through the stored token" `Quick
+      test_retract_through_stored_token;
     Alcotest.test_case "workloads: serial/parallel/sim equivalence" `Slow
       test_workload_equivalence;
   ]

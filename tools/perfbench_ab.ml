@@ -1,26 +1,29 @@
 (* Same-hour A/B of the working tree against an older revision on the
    repository benchmark.
 
-     make perfbench-ab BASE=<rev> [PAIRS=10] [TRACE=0|1]
+     make perfbench-ab BASE=<rev> [PAIRS=10] [TRACE=0|1] [FIRST_SEED=1]
 
    or directly, from the repository root:
 
      dune build tools/perfbench_ab.exe
      ./_build/default/tools/perfbench_ab.exe --base <rev> [--pairs N] [--trace 0|1]
+       [--first-seed N]
 
    The base revision is exported with `git archive` into
    _perfbench-ab/base (no worktree is registered in the repository; the
    leading underscore keeps dune from building the copy as part of the
    working tree) and built there; the change is the working tree. For
    each pair and every workload of BENCHMARK.json, both sides run its
-   command for its run_seconds with the same seed (the pair number), the
-   side that goes first alternating from pair to pair. Every run's
-   result line goes to _perfbench-ab/ab.jsonl; the summary prints, per
-   workload and metric, each side's median and quartiles and the number
-   of pairs the change won, and for each end-to-end metric a verdict
-   from BENCHMARK.json's [better] and [bound] (see [verdict]). A pair in
-   which either run failed (nonzero exit or not [correct]) is left out
-   of the summary and counted.
+   command for its run_seconds with the same seed, the side that goes
+   first alternating from pair to pair. Pair k runs seed
+   first-seed + k - 1: the default seeds are the pair numbers, and
+   [--first-seed 11] reruns a comparison on held-out seeds 11, 12, ...
+   Every run's result line goes to _perfbench-ab/ab.jsonl; the summary
+   prints, per workload and metric, each side's median and quartiles
+   and the number of pairs the change won, and for each end-to-end
+   metric a verdict from BENCHMARK.json's [better] and [bound] (see
+   [verdict]). A pair in which either run failed (nonzero exit or not
+   [correct]) is left out of the summary and counted.
    Exit codes: 0 done (even if some runs failed), 2 usage or setup error. *)
 
 module Json = Psme_obs.Json
@@ -29,7 +32,7 @@ module Stats = Psme_support.Stats
 let usage msg =
   prerr_endline ("perfbench_ab: " ^ msg);
   prerr_endline
-    "usage: perfbench_ab.exe --base REV [--pairs N] [--trace 0|1]";
+    "usage: perfbench_ab.exe --base REV [--pairs N] [--trace 0|1] [--first-seed N]";
   exit 2
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -102,7 +105,7 @@ let result_of_output text =
   | last :: _ -> ( match Json.parse last with Ok j -> Some j | Error _ -> None)
   | [] -> None
 
-let run_one bench ~base ~side ~pair ~first ~workload ~trace =
+let run_one bench ~base ~side ~pair ~seed ~first ~workload ~trace =
   let root = if side = "base" then Filename.concat dir "base" else "." in
   let out = Filename.concat dir "run.out" in
   let cmd =
@@ -110,7 +113,7 @@ let run_one bench ~base ~side ~pair ~first ~workload ~trace =
       (List.map Filename.quote
          (bench.command
          @ [
-             "--workload"; workload; "--seed"; string_of_int pair; "--seconds";
+             "--workload"; workload; "--seed"; string_of_int seed; "--seconds";
              Printf.sprintf "%g" bench.run_seconds; "--trace"; string_of_int trace;
            ]))
   in
@@ -140,7 +143,7 @@ let run_one bench ~base ~side ~pair ~first ~workload ~trace =
         ("side", Json.Str side);
         ("base", Json.Str base);
         ("first", Json.Bool first);
-        ("seed", Json.Int pair);
+        ("seed", Json.Int seed);
         ("seconds", Json.Float bench.run_seconds);
         ("trace", Json.Int trace);
         ("exit", Json.Int code);
@@ -234,7 +237,7 @@ let summarize bench runs workload =
 (* --- main ------------------------------------------------------------------ *)
 
 let () =
-  let base = ref None and pairs = ref 10 and trace = ref 0 in
+  let base = ref None and pairs = ref 10 and trace = ref 0 and first_seed = ref 1 in
   let int_arg flag v =
     match int_of_string_opt v with Some n -> n | None -> usage (flag ^ ": not an integer")
   in
@@ -243,6 +246,7 @@ let () =
     | "--base" :: v :: rest -> base := Some v; parse rest
     | "--pairs" :: v :: rest -> pairs := int_arg "--pairs" v; parse rest
     | "--trace" :: (("0" | "1") as v) :: rest -> trace := int_of_string v; parse rest
+    | "--first-seed" :: v :: rest -> first_seed := int_arg "--first-seed" v; parse rest
     | arg :: _ -> usage ("unexpected argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -271,7 +275,8 @@ let () =
         List.iteri
           (fun i side ->
             let r, line =
-              run_one bench ~base ~side ~pair ~first:(i = 0) ~workload ~trace:!trace
+              run_one bench ~base ~side ~pair ~seed:(!first_seed + pair - 1) ~first:(i = 0)
+                ~workload ~trace:!trace
             in
             output_string oc (line ^ "\n");
             flush oc;
@@ -282,6 +287,7 @@ let () =
       bench.workloads
   done;
   close_out oc;
-  Printf.printf "A/B: base %s vs the working tree, %g s per run, --trace %d; runs in %s\n"
-    base bench.run_seconds !trace jsonl;
+  Printf.printf
+    "A/B: base %s vs the working tree, %g s per run, --trace %d, seeds %d-%d; runs in %s\n"
+    base bench.run_seconds !trace !first_seed (!first_seed + !pairs - 1) jsonl;
   List.iter (summarize bench (List.rev !runs)) bench.workloads
