@@ -2,7 +2,7 @@
 # must pass. Formatting is checked only when ocamlformat is installed
 # (the CI format job is advisory too).
 
-.PHONY: all build test fmt analyze verify attribute check bench bench-json bench-quick bench-gate perfbench-ab clean
+.PHONY: all build test fmt analyze verify attribute perfbench-smoke check bench perfbench-ab clean
 
 all: build
 
@@ -41,26 +41,17 @@ attribute:
 	dune exec bin/soar_cli.exe -- attribute --workload cypress --procs 11 > /dev/null
 	dune exec bin/soar_cli.exe -- attribute --workload eight-puzzle --procs 11 > /dev/null
 
-check: build test fmt analyze verify attribute
+# Benchmark smoke gate: every workload of the repository benchmark, both
+# metric sets, for one second each. perfbench exits 1 when any operation
+# fails its output check, so this fails on a wrong answer, never on speed.
+perfbench-smoke:
+	dune exec --root . perfbench/main.exe -- --seconds 1
 
+check: build test fmt analyze verify attribute perfbench-smoke
+
+# The paper's tables and figures (Tables 5-1, 5-2, 6-1, Figures 6-1..6-12)
 bench:
-	dune exec bench/main.exe
-
-# Full machine-readable run (the BENCH_*.json trajectory; see README)
-bench-json:
-	dune exec bench/main.exe -- --json bench.json
-
-# Abbreviated run for CI artifacts
-bench-quick:
-	dune exec bench/main.exe -- --quick --json bench-quick.json
-
-# Perf gate against the committed baseline (section geomeans, 15%
-# tolerance; exit 0 pass / 1 regression / 2 baseline unreadable).
-# Override the baseline for a same-machine comparison:
-#   make bench-gate GATE_BASELINE=my-baseline.json
-GATE_BASELINE ?= BENCH_PR9.json
-bench-gate:
-	dune exec bench/main.exe -- --gate $(GATE_BASELINE)
+	dune exec bin/soar_cli.exe -- report
 
 # Same-hour A/B of the working tree against BASE on BENCHMARK.json's
 # workloads: PAIRS pairs per workload, alternating which side runs

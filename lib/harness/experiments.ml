@@ -600,8 +600,8 @@ let markdown_report () =
   let buf = Buffer.create 16384 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "# EXPERIMENTS — paper vs. measured\n\n";
-  pr "All measurements produced by `dune exec bench/main.exe` (also\n";
-  pr "regenerable via `dune exec bin/soar_cli.exe -- report`). Speedups come\n";
+  pr "All measurements produced by `dune exec bin/soar_cli.exe -- report`\n";
+  pr "(`--write-experiments EXPERIMENTS.md` regenerates this file). Speedups come\n";
   pr "from the discrete-event simulated multiprocessor over the real Rete\n";
   pr "task stream; times are the calibrated cost model's microseconds\n";
   pr "(NS32032-class processor). Absolute numbers are not expected to match\n";

@@ -143,7 +143,7 @@ val future_io_rate : unit -> (int * float) list
     13-process speedup) for the streaming-sensor workload. *)
 
 val print_all : Format.formatter -> unit
-(** Run and print every table and figure (the bench harness's body). *)
+(** Run and print every table and figure ([soar_cli report]). *)
 
 val markdown_report : unit -> string
 (** The EXPERIMENTS.md body: paper-vs-measured for every entry. *)

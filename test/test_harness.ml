@@ -1,6 +1,6 @@
 (* Integration tests of the experiment harness: the paper's headline
    shapes must hold in the regenerated tables (the full speedup sweeps
-   run in the bench harness; here we check the cheap table experiments
+   run in `soar_cli report`; here we check the cheap table experiments
    and the bilinear report). *)
 
 open Psme_harness

@@ -751,6 +751,37 @@ let test_retract_through_stored_token () =
     (Runtime.exec net (Task.Left { node; flag = Task.Delete; token = copy }))
     (fun child -> child == stored)
 
+(* One join level costs the same at any depth: [Token.extend] points
+   at its parent instead of copying it, and the hash rolls forward from
+   the parent's. The paper's long-chain productions (§6.2) pay this on
+   every level of a 40+-CE chain. *)
+let test_token_depth () =
+  let cls = Sym.intern "block" in
+  let wme i = Wme.make ~cls ~fields:[||] ~timetag:i in
+  let words_at d =
+    let base = ref (Token.singleton (wme 0)) in
+    for i = 1 to d - 1 do
+      base := Token.extend !base (wme i)
+    done;
+    let base = !base and w = wme d in
+    Alcotest.(check bool)
+      (Printf.sprintf "depth %d: the parent is shared" d)
+      true
+      (Token.prefix (Token.extend base w) d == base);
+    mean_words (fun () ->
+        let before = Gc.minor_words () in
+        ignore (Token.hash (Token.extend base w));
+        Gc.minor_words () -. before)
+  in
+  let shallow = words_at 4 in
+  List.iter
+    (fun d ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "extend+hash at depth %d allocates as at depth 4 (%.0f words)" d
+           shallow)
+        shallow (words_at d))
+    [ 64; 256 ]
+
 let suite =
   [
     Alcotest.test_case "deque: owner LIFO" `Quick test_deque_owner_lifo;
@@ -771,6 +802,8 @@ let suite =
       test_activation_allocation;
     Alcotest.test_case "runtime: deletes retract through the stored token" `Quick
       test_retract_through_stored_token;
+    Alcotest.test_case "token: extend+hash independent of depth" `Quick
+      test_token_depth;
     Alcotest.test_case "workloads: serial/parallel/sim equivalence" `Slow
       test_workload_equivalence;
   ]

@@ -18,12 +18,16 @@
    first alternating from pair to pair. Pair k runs seed
    first-seed + k - 1: the default seeds are the pair numbers, and
    [--first-seed 11] reruns a comparison on held-out seeds 11, 12, ...
-   Every run's result line goes to _perfbench-ab/ab.jsonl; the summary
-   prints, per workload and metric, each side's median and quartiles
-   and the number of pairs the change won, and for each end-to-end
-   metric a verdict from BENCHMARK.json's [better] and [bound] (see
-   [verdict]). A pair in which either run failed (nonzero exit or not
-   [correct]) is left out of the summary and counted.
+   Every run's result line goes to _perfbench-ab/ab.jsonl. The summary
+   prints, per workload, each side's failed runs (nonzero exit or not
+   [correct]) and failed-operation share (the result lines' [failed]
+   over their [attempted]); then per metric each side's median and
+   quartiles over every run that reported it, the number of pairs the
+   change won out of all pairs run (a pair whose change run failed is
+   not won), and for each end-to-end metric a verdict from
+   BENCHMARK.json's [better] and [bound] (see [verdict]). No metric
+   reads gain when the change failed more runs or a larger share of
+   operations than the base.
    Exit codes: 0 done (even if some runs failed), 2 usage or setup error. *)
 
 module Json = Psme_obs.Json
@@ -96,6 +100,8 @@ type run = {
   side : string;  (** "base" or "change" *)
   values : (string * float) list;
   ok : bool;  (** exit 0 and [correct] *)
+  attempted : int;  (** operations checked, from the result line (0 without one) *)
+  failed : int;  (** operations that failed their output check *)
 }
 
 (* The benchmark's last stdout line is its result object. *)
@@ -135,6 +141,9 @@ let run_one bench ~base ~side ~pair ~seed ~first ~workload ~trace =
     | _ -> []
   in
   let correct = Option.bind result (Json.member "correct") = Some (Json.Bool true) in
+  let count k =
+    match Option.bind result (Json.member k) with Some (Json.Int n) -> n | _ -> 0
+  in
   let record =
     Json.Obj
       [
@@ -150,7 +159,11 @@ let run_one bench ~base ~side ~pair ~seed ~first ~workload ~trace =
         ("result", Option.value result ~default:Json.Null);
       ]
   in
-  ({ pair; workload; side; values; ok = code = 0 && correct }, Json.to_string record)
+  ( {
+      pair; workload; side; values; ok = code = 0 && correct;
+      attempted = count "attempted"; failed = count "failed";
+    },
+    Json.to_string record )
 
 (* --- summary ------------------------------------------------------------- *)
 
@@ -166,8 +179,11 @@ let side_stats xs =
     hi = Array.fold_left Float.max neg_infinity a;
   }
 
+let better m x y = if m.higher_better then x > y else x < y
+
 (* The verdict on an end-to-end metric, checked in this order:
-   - gain: the change wins at least 9 in 10 pairs, and the medians
+   - gain: the change failed no more than the base ([fails_more] is
+     false), wins at least 9 in 10 of all pairs run, and the medians
      differ (in the change's favour) by more than the base's quartile
      distance;
    - regressed: the change's median is worse than the base's by more than
@@ -175,8 +191,7 @@ let side_stats xs =
    - unresolved: either side's quartile distance over its median exceeds
      [bound], and not every change run beats every base run;
    - within bound otherwise. *)
-let verdict m bound ~wins ~pairs b c =
-  let better x y = if m.higher_better then x > y else x < y in
+let verdict m bound ~fails_more ~wins ~pairs b c =
   let spread s =
     if s.med = 0. then if s.q3 = s.q1 then 0. else infinity
     else (s.q3 -. s.q1) /. Float.abs s.med
@@ -185,20 +200,37 @@ let verdict m bound ~wins ~pairs b c =
     if m.higher_better then b.med *. (1. -. bound) else b.med *. (1. +. bound)
   in
   let all_beat = if m.higher_better then c.lo > b.hi else c.hi < b.lo in
-  if 10 * wins >= 9 * pairs && better c.med b.med
+  if (not fails_more) && 10 * wins >= 9 * pairs && better m c.med b.med
      && Float.abs (c.med -. b.med) > b.q3 -. b.q1
   then "gain"
-  else if better worse_limit c.med then "regressed"
+  else if better m worse_limit c.med then "regressed"
   else if (spread b > bound || spread c > bound) && not all_beat then "unresolved"
   else "within bound"
 
 let summarize bench runs workload =
   let runs = List.filter (fun r -> r.workload = workload) runs in
   let pairs = List.sort_uniq compare (List.map (fun r -> r.pair) runs) in
-  let failed = List.filter (fun r -> not r.ok) runs in
-  let pairs = List.filter (fun p -> not (List.exists (fun r -> r.pair = p) failed)) pairs in
-  Printf.printf "\n%s: %d pairs summarized, %d failed runs (their pairs left out)\n" workload
-    (List.length pairs) (List.length failed);
+  let n_pairs = List.length pairs in
+  let side_runs side = List.filter (fun r -> r.side = side) runs in
+  let sum side f = List.fold_left (fun a r -> a + f r) 0 (side_runs side) in
+  let failed_runs side = sum side (fun r -> if r.ok then 0 else 1) in
+  let failed_share side =
+    let attempted = sum side (fun r -> r.attempted) in
+    if attempted = 0 then 0.
+    else float_of_int (sum side (fun r -> r.failed)) /. float_of_int attempted
+  in
+  let fails_more =
+    failed_runs "change" > failed_runs "base" || failed_share "change" > failed_share "base"
+  in
+  Printf.printf "\n%s: %d pairs\n" workload n_pairs;
+  List.iter
+    (fun side ->
+      Printf.printf "  %-6s failed runs %d/%d, failed operations %d/%d (%.4g)\n" side
+        (failed_runs side) (List.length (side_runs side))
+        (sum side (fun r -> r.failed)) (sum side (fun r -> r.attempted)) (failed_share side))
+    [ "base"; "change" ];
+  if fails_more then
+    print_endline "  the change failed more than the base: no metric reads gain";
   Printf.printf "  %-38s %-10s %-30s %-30s %9s %5s  %s\n" "metric" "unit"
     "base median [q1, q3]" "change median [q1, q3]" "chg/base" "wins" "verdict";
   let value side pair m =
@@ -206,32 +238,29 @@ let summarize bench runs workload =
       (fun r -> if r.side = side && r.pair = pair then List.assoc_opt m.name r.values else None)
       runs
   in
+  let change_ok pair = List.exists (fun r -> r.side = "change" && r.pair = pair && r.ok) runs in
   List.iter
     (fun m ->
-      let both =
-        List.filter_map
-          (fun p ->
-            match value "base" p m, value "change" p m with
-            | Some b, Some c -> Some (b, c)
-            | _ -> None)
-          pairs
-      in
-      if both <> [] then begin
-        let b = side_stats (List.map fst both) and c = side_stats (List.map snd both) in
-        let wins =
-          List.length
-            (List.filter (fun (b, c) -> if m.higher_better then c > b else c < b) both)
+      let values side = List.filter_map (fun p -> value side p m) pairs in
+      match values "base", values "change" with
+      | [], _ | _, [] -> ()
+      | bs, cs ->
+        let b = side_stats bs and c = side_stats cs in
+        let won p =
+          change_ok p
+          && match value "base" p m, value "change" p m with
+             | Some b, Some c -> better m c b
+             | _ -> false
         in
-        let pairs = List.length both in
+        let wins = List.length (List.filter won pairs) in
         let cell s = Printf.sprintf "%.6g [%.6g, %.6g]" s.med s.q1 s.q3 in
         Printf.printf "  %-38s %-10s %-30s %-30s %9s %2d/%-2d  %s\n" m.name m.unit_
           (cell b) (cell c)
           (if b.med = 0. then "-" else Printf.sprintf "%.4f" (c.med /. b.med))
-          wins pairs
+          wins n_pairs
           (match m.bound with
-          | Some bound -> verdict m bound ~wins ~pairs b c
-          | None -> "")
-      end)
+          | Some bound -> verdict m bound ~fails_more ~wins ~pairs:n_pairs b c
+          | None -> ""))
     bench.metrics
 
 (* --- main ------------------------------------------------------------------ *)
