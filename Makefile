@@ -49,7 +49,8 @@ perfbench-smoke:
 
 check: build test fmt analyze verify attribute perfbench-smoke
 
-# The paper's tables and figures (Tables 5-1, 5-2, 6-1, Figures 6-1..6-12)
+# The paper's tables and figures (Tables 5-1, 5-2, 6-1, Figures 6-1..6-12),
+# printed as the EXPERIMENTS.md markdown: `make -s bench > EXPERIMENTS.md`
 bench:
 	dune exec bin/soar_cli.exe -- report
 

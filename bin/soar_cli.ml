@@ -65,10 +65,15 @@ let parse_queues = function
   | "multi" -> Ok Parallel.Multiple_queues
   | q -> Error (Printf.sprintf "unknown queue organization %S" q)
 
+(* A process or interval count below 1 would leave an engine no match
+   process to schedule, or divide by zero; reject it before any run. *)
+let check_count flag n =
+  if n >= 1 then Ok n else Error (Printf.sprintf "%s must be at least 1 (got %d)" flag n)
+
 let parse_engine engine procs queues =
-  match parse_queues queues with
-  | Error e -> Error e
-  | Ok q -> (
+  match parse_queues queues, check_count "--procs" procs with
+  | Error e, _ | _, Error e -> Error e
+  | Ok q, Ok procs -> (
     match engine with
     | "serial" -> Ok Engine.Serial_mode
     | "sim" -> Ok (Engine.Sim_mode { Sim.procs; queues = q; collect_trace = false })
@@ -243,27 +248,16 @@ let network_cmd =
 
 (* --- report --------------------------------------------------------------------- *)
 
-let report_cmd_impl write_md =
-  Psme_harness.Experiments.print_all Format.std_formatter;
-  (match write_md with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Psme_harness.Experiments.markdown_report ());
-    close_out oc;
-    Format.printf "wrote %s@." path
-  | None -> ());
+let report_cmd_impl () =
+  print_string (Psme_harness.Experiments.markdown_report ());
   0
 
 let report_cmd =
-  let doc = "Reproduce every table and figure of the paper's evaluation." in
-  let md =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-experiments" ] ~docv:"PATH"
-          ~doc:"Also write the markdown report to $(docv).")
+  let doc =
+    "Reproduce every table and figure of the paper's evaluation and print them \
+     as markdown (the EXPERIMENTS.md body)."
   in
-  Cmd.v (Cmd.info "report" ~doc) Term.(const report_cmd_impl $ md)
+  Cmd.v (Cmd.info "report" ~doc) Term.(const report_cmd_impl $ const ())
 
 (* --- dump ------------------------------------------------------------------------ *)
 
@@ -300,9 +294,9 @@ let dump_cmd =
 (* --- diagnose -------------------------------------------------------------------- *)
 
 let diagnose_cmd_impl task procs apply =
-  match find_workload task with
-  | Error e -> prerr_endline e; 2
-  | Ok w ->
+  match find_workload task, check_count "--procs" procs with
+  | Error e, _ | _, Error e -> prerr_endline e; 2
+  | Ok w, Ok procs ->
     let d = Psme_harness.Diagnose.diagnose ~procs w in
     Psme_harness.Diagnose.pp Format.std_formatter d;
     if apply then begin
@@ -351,12 +345,9 @@ let traced_agent w ~engine_mode ~learning =
 
 let profile_cmd_impl task procs queues learning top json =
   setup_logs false;
-  match find_workload task, parse_queues queues with
+  match find_workload task, parse_engine "sim" procs queues with
   | Error e, _ | _, Error e -> prerr_endline e; 2
-  | Ok w, Ok q ->
-    let engine_mode =
-      Engine.Sim_mode { Sim.procs; queues = q; collect_trace = false }
-    in
+  | Ok w, Ok engine_mode ->
     let agent, tracer = traced_agent w ~engine_mode ~learning in
     let engine = Agent.engine agent in
     let net = Agent.network agent in
@@ -372,7 +363,7 @@ let profile_cmd_impl task procs queues learning top json =
       Format.printf "{\"task\": \"%s\", \"cycles\": [%s], \"metrics\": %s}@."
         w.Workload.name
         (String.concat ", " (List.map Cycle.to_json cycles))
-        (Psme_obs.Metrics.to_json (Psme_obs.Metrics.snapshot Psme_obs.Metrics.global));
+        (Psme_obs.Metrics.to_json (Psme_harness.Observe.metrics engine));
       0
     end
     else begin
@@ -402,8 +393,7 @@ let profile_cmd_impl task procs queues learning top json =
           (match owners with [] -> "" | o :: _ -> Printf.sprintf " (production %s)" o)
       | None -> ());
       Format.printf "metrics registry:@.";
-      Psme_obs.Metrics.pp Format.std_formatter
-        (Psme_obs.Metrics.snapshot Psme_obs.Metrics.global);
+      Psme_obs.Metrics.pp Format.std_formatter (Psme_harness.Observe.metrics engine);
       0
     end
 
@@ -426,12 +416,9 @@ let attribute_workload_arg =
 
 let attribute_cmd_impl task procs queues json per_cycle trace_out =
   setup_logs false;
-  match (find_workload task, parse_queues queues) with
+  match (find_workload task, parse_engine "sim" procs queues) with
   | Error e, _ | _, Error e -> prerr_endline e; 2
-  | Ok w, Ok q ->
-    let engine_mode =
-      Engine.Sim_mode { Sim.procs; queues = q; collect_trace = false }
-    in
+  | Ok w, Ok engine_mode ->
     let agent, tracer = traced_agent w ~engine_mode ~learning:false in
     let cost = (Agent.config agent).Agent.cost in
     let queue_op_us = cost.Cost.queue_op_us in
@@ -581,9 +568,9 @@ let trace_cmd =
 
 let telemetry_cmd_impl task engine procs queues learning async watch every json =
   setup_logs false;
-  match find_workload task, parse_engine engine procs queues with
-  | Error e, _ | _, Error e -> prerr_endline e; 2
-  | Ok w, Ok engine_mode ->
+  match find_workload task, parse_engine engine procs queues, check_count "--every" every with
+  | Error e, _, _ | _, Error e, _ | _, _, Error e -> prerr_endline e; 2
+  | Ok w, Ok engine_mode, Ok every ->
     let tm = Psme_obs.Telemetry.global in
     Psme_obs.Telemetry.reset tm;
     let config =

@@ -24,25 +24,10 @@ let mode t = t.mode
 let tracer t = t.tracer
 let vclock_us t = t.vclock_us
 
-(* Every completed episode feeds the global metrics registry, whatever
-   the engine — per-cycle aggregates become queryable totals. *)
-let m_cycles = Metrics.counter Metrics.global "engine.cycles"
-let m_tasks = Metrics.counter Metrics.global "engine.tasks"
-let m_failed_pops = Metrics.counter Metrics.global "engine.failed_pops"
-let m_scanned = Metrics.counter Metrics.global "engine.scanned"
-let m_emitted = Metrics.counter Metrics.global "engine.emitted"
-
+(* Every completed episode, whatever the engine, is kept once: the
+   history is the run's one ledger of per-cycle stats. *)
 let record t stats =
   t.history_rev <- stats :: t.history_rev;
-  Metrics.incr m_cycles;
-  Metrics.add m_tasks stats.Cycle.tasks;
-  Metrics.add m_failed_pops stats.Cycle.failed_pops;
-  Metrics.add m_scanned stats.Cycle.scanned;
-  Metrics.add m_emitted stats.Cycle.emitted;
-  Metrics.observe Metrics.global "engine.cycle.serial_us" stats.Cycle.serial_us;
-  Metrics.observe Metrics.global "engine.cycle.makespan_us" stats.Cycle.makespan_us;
-  if stats.Cycle.tasks > 0 then
-    Metrics.observe Metrics.global "engine.cycle.speedup_x" (Cycle.speedup stats);
   Telemetry.record_cycle_us Telemetry.global stats.Cycle.makespan_us;
   stats
 

@@ -19,12 +19,11 @@ val create : ?cost:Cost.params -> ?tracer:Psme_obs.Trace.t -> mode -> Network.t 
     and the underlying engine emits its task/queue/lock events; the
     engine keeps a running virtual clock so consecutive cycles abut on
     one global timeline (the tracer's base is advanced by each cycle's
-    makespan). All engines also feed the global {!Psme_obs.Metrics}
-    registry (counters [engine.cycles], [engine.tasks], ...; gauges
-    [engine.cycle.serial_us], [engine.cycle.makespan_us],
-    [engine.cycle.speedup_x]) and the always-on {!Psme_obs.Telemetry}
-    layer (cycle-latency histogram; each episode runs inside a [Match]
-    phase section for GC attribution). *)
+    makespan). Every episode, whatever the engine, is recorded once in
+    {!history}, the run's one ledger of per-cycle stats (the rows of
+    [soar_cli profile] are folded from it), and feeds the always-on
+    {!Psme_obs.Telemetry} layer (cycle-latency histogram; each episode
+    runs inside a [Match] phase section for GC attribution). *)
 
 val network : t -> Network.t
 val mode : t -> mode

@@ -40,6 +40,7 @@ let shared_try_pop q =
   else None
 
 let run_tasks ?(cost = Cost.default) ?tracer config net seed =
+  if config.processes < 1 then invalid_arg "Parallel: processes must be at least 1";
   let t0 = Clock.now_ns () in
   let now_us () = float_of_int (Clock.now_ns () - t0) /. 1e3 in
   let nq = match config.queues with Single_queue -> 1 | Multiple_queues -> config.processes in
@@ -60,7 +61,7 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
   (* Per-worker latency histograms, merged into the global telemetry
      after join — exact counts without racing the single-writer
      histograms from many domains. *)
-  let nproc = max 1 config.processes in
+  let nproc = config.processes in
   let task_h = Array.init nproc (fun _ -> Loghist.create ()) in
   let dwell_h = Array.init nproc (fun _ -> Loghist.create ()) in
   (* Seeding happens before the workers spawn, so pushing into a
@@ -178,9 +179,7 @@ let run_tasks ?(cost = Cost.default) ?tracer config net seed =
     in
     loop ()
   in
-  let domains =
-    List.init (max 1 config.processes) (fun i -> Domain.spawn (worker i))
-  in
+  let domains = List.init nproc (fun i -> Domain.spawn (worker i)) in
   List.iter Domain.join domains;
   let wall_ns = Clock.now_ns () - t0 in
   (* fold per-worker histograms and queue contention into the global

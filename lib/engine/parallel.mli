@@ -23,7 +23,9 @@ type queue_mode =
           failed pop, like a contended [try_lock] did. *)
 
 type config = {
-  processes : int;   (** match processes (not counting the caller) *)
+  processes : int;
+      (** match processes (not counting the caller); the runs raise
+          [Invalid_argument] below 1 *)
   queues : queue_mode;
 }
 

@@ -26,11 +26,12 @@ type event =
           instantiation (asynchronous elaboration, §7) *)
 
 let run_tasks_gen ?(cost = Cost.default) ?tracer ?on_inst config net seed =
+  if config.procs < 1 then invalid_arg "Sim: procs must be at least 1";
   let t0 = Clock.now_ns () in
   let nq =
     match config.queues with
     | Parallel.Single_queue -> 1
-    | Parallel.Multiple_queues -> max 1 config.procs
+    | Parallel.Multiple_queues -> config.procs
   in
   let queues = Array.init nq (fun _ -> { items = Vec.create (); busy_until = 0. }) in
   let next_id = ref 0 in

@@ -19,6 +19,8 @@ open Psme_rete
 
 type config = {
   procs : int;
+      (** virtual match processes; the runs raise [Invalid_argument]
+          below 1 *)
   queues : Parallel.queue_mode;
   collect_trace : bool;  (** record (time, tasks-in-system) samples *)
 }

@@ -496,112 +496,12 @@ let future_io_rate () =
 
 (* --- rendering -------------------------------------------------------------- *)
 
-let pp_speedup_figure ppf fig =
-  Format.fprintf ppf "@.== %s: %s ==@." fig.fig_name fig.fig_title;
-  List.iter
-    (fun s ->
-      if s.s_uniproc_s > 0. then
-        Format.fprintf ppf "%-14s uniproc %.1f s (paper %.1f s)@." s.s_task
-          s.s_uniproc_s s.s_paper_uniproc_s
-      else Format.fprintf ppf "%-14s@." s.s_task;
-      Format.fprintf ppf "  procs: %s@."
-        (String.concat " " (List.map (fun (p, _) -> Printf.sprintf "%6d" p) s.s_points));
-      Format.fprintf ppf "  value: %s@."
-        (String.concat " " (List.map (fun (_, y) -> Printf.sprintf "%6.2f" y) s.s_points)))
-    fig.fig_series
-
-let print_all ppf =
-  let t61 = table_6_1 () in
-  Format.fprintf ppf "@.== table-6-1: task granularity ==@.";
-  Format.fprintf ppf "%-14s %12s %12s %12s   (paper: s / tasks / us)@." "task"
-    "uniproc-s" "tasks" "us/task";
-  List.iter
-    (fun r ->
-      let ps, pt, pu = r.r61_paper in
-      Format.fprintf ppf "%-14s %12.1f %12d %12.0f   (%.1f / %d / %.0f)@." r.r61_task
-        r.r61_uniproc_s r.r61_tasks r.r61_us_per_task ps pt pu)
-    t61;
-  pp_speedup_figure ppf (figure_6_1 ());
-  Format.fprintf ppf "@.== figure-6-2: hash-bucket contention (13 procs) ==@.";
-  List.iter
-    (fun (task, pts) ->
-      Format.fprintf ppf "%-14s@." task;
-      List.iter
-        (fun (k, pct) ->
-          if k <= 16 then Format.fprintf ppf "  %3d accesses/bucket/cycle: %5.1f%%@." k pct)
-        pts)
-    (figure_6_2 ());
-  pp_speedup_figure ppf (figure_6_3 ());
-  pp_speedup_figure ppf (figure_6_4 ());
-  Format.fprintf ppf "@.== figure-6-5: Eight-Puzzle cycle speedups vs tasks/cycle (11 procs) ==@.";
-  let f5 = figure_6_5 () in
-  let buckets = [ (0, 50); (50, 100); (100, 200); (200, 400); (400, 800); (800, 10000) ] in
-  List.iter
-    (fun (lo, hi) ->
-      let xs = List.filter (fun (t, _) -> t >= lo && t < hi) f5 in
-      if xs <> [] then begin
-        let avg = List.fold_left (fun a (_, s) -> a +. s) 0. xs /. float_of_int (List.length xs) in
-        Format.fprintf ppf "  %5d-%-5d tasks: %3d cycles, mean speedup %5.2f@." lo hi
-          (List.length xs) avg
-      end)
-    buckets;
-  Format.fprintf ppf "@.== figure-6-6: tasks in system over time (one large low-speedup cycle) ==@.";
-  List.iteri
-    (fun i (t, n) ->
-      if i mod 10 = 0 then Format.fprintf ppf "  t=%8.0fus  tasks=%4d@." t n)
-    (figure_6_6 ());
-  let bl = figure_6_8_bilinear () in
-  Format.fprintf ppf "@.== figure-6-7/6-8: long chains and the constrained bilinear network ==@.";
-  Format.fprintf ppf "  %s: %d CEs@." bl.bl_production bl.bl_ces;
-  Format.fprintf ppf "  beta-chain depth: linear %d -> bilinear %d@." bl.bl_linear_depth
-    bl.bl_bilinear_depth;
-  Format.fprintf ppf "  Strips speedup at 13 procs: linear %.2f -> bilinear %.2f@."
-    bl.bl_linear_speedup bl.bl_bilinear_speedup;
-  pp_speedup_figure ppf (figure_6_9 ());
-  pp_speedup_figure ppf (figure_6_10 ());
-  Format.fprintf ppf "@.== figure-6-11: Eight-Puzzle tasks/cycle, without chunking ==@.";
-  Histogram.pp () ppf (figure_6_11 ());
-  Format.fprintf ppf "@.== figure-6-12: Eight-Puzzle tasks/cycle, after chunking ==@.";
-  Histogram.pp () ppf (figure_6_12 ());
-  Format.fprintf ppf "@.== table-5-1: chunk sizes ==@.";
-  List.iter
-    (fun r ->
-      let pt, pc, pb, p2 = r.r51_paper in
-      Format.fprintf ppf
-        "%-14s task-CEs %5.1f (paper %2.0f)  chunk-CEs %5.1f (%2.0f)  bytes/chunk %7.0f (%5.0f)  bytes/2-input %5.0f (%3.0f)@."
-        r.r51_task r.r51_task_ces pt r.r51_chunk_ces pc r.r51_bytes_per_chunk pb
-        r.r51_bytes_per_two_input p2)
-    (table_5_1 ());
-  Format.fprintf ppf
-    "@.== beyond the paper: I/O-driven wme churn (section 7, 13 procs) ==@.";
-  List.iter
-    (fun (rate, sp) ->
-      Format.fprintf ppf "  %2d readings/channel/cycle -> speedup %.2f@." rate sp)
-    (future_io_rate ());
-  Format.fprintf ppf
-    "@.== beyond the paper: asynchronous elaboration (section 7, 13 procs) ==@.";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-14s sync %.2f -> async %.2f  (same outcome: %b)@." r.a_task
-        r.a_sync_speedup r.a_async_speedup r.a_same_outcome)
-    (future_async_elaboration ());
-  Format.fprintf ppf "@.== table-5-2: run-time chunk compilation ==@.";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf
-        "%-14s chunks %3d (paper %2d)  shared %7.2f ms / %6d B  unshared %7.2f ms / %6d B  (paper %4.1f s / %4.1f s)@."
-        r.r52_task r.r52_chunks r.r52_paper_chunks r.r52_shared_ms r.r52_shared_bytes
-        r.r52_unshared_ms r.r52_unshared_bytes r.r52_paper_shared_s
-        r.r52_paper_unshared_s)
-    (table_5_2 ());
-  Format.fprintf ppf "@."
-
 let markdown_report () =
   let buf = Buffer.create 16384 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "# EXPERIMENTS — paper vs. measured\n\n";
   pr "All measurements produced by `dune exec bin/soar_cli.exe -- report`\n";
-  pr "(`--write-experiments EXPERIMENTS.md` regenerates this file). Speedups come\n";
+  pr "(redirected to `EXPERIMENTS.md`, it regenerates this file). Speedups come\n";
   pr "from the discrete-event simulated multiprocessor over the real Rete\n";
   pr "task stream; times are the calibrated cost model's microseconds\n";
   pr "(NS32032-class processor). Absolute numbers are not expected to match\n";
@@ -638,15 +538,27 @@ let markdown_report () =
     (fun (task, pts) ->
       pr "- %s: " task;
       List.iter
-        (fun (k, pct) -> if k <= 8 then pr "%d:%.1f%% " k pct)
+        (fun (k, pct) -> if k <= 16 then pr "%d:%.1f%% " k pct)
         pts;
       pr "\n")
     (figure_6_2 ());
   pr "\nPaper shape: most left tokens see 1-2 accesses/bucket/cycle; Strips is the worst case.\n";
   pr "\n## figure-6-5 / figure-6-6 — per-cycle behaviour (Eight-Puzzle, 11 procs)\n\n";
   let f5 = figure_6_5 () in
-  pr "%d cycles; small cycles cluster at low speedups, large cycles reach higher ones.\n"
+  pr "%d cycles; small cycles cluster at low speedups, large cycles reach higher ones.\n\n"
     (List.length f5);
+  pr "| tasks/cycle | cycles | mean speedup |\n|---|---|---|\n";
+  List.iter
+    (fun (lo, hi) ->
+      match List.filter (fun (t, _) -> t >= lo && t < hi) f5 with
+      | [] -> ()
+      | xs ->
+        let avg =
+          List.fold_left (fun a (_, s) -> a +. s) 0. xs /. float_of_int (List.length xs)
+        in
+        pr "| %d-%d | %d | %.2f |\n" lo hi (List.length xs) avg)
+    [ (0, 50); (50, 100); (100, 200); (200, 400); (400, 800); (800, 10000) ];
+  pr "\n";
   (match figure_6_6 () with
   | [] -> pr "(no large low-speedup cycle found)\n"
   | trace ->
@@ -654,7 +566,9 @@ let markdown_report () =
     let peak = List.fold_left (fun a (_, n) -> max a n) 0 trace in
     pr
       "Worst large cycle: peak %d concurrent tasks, tail of few tasks until %.0f us (the long-chain effect).\n"
-      peak tmax);
+      peak tmax;
+    pr "\n| t us (every 10th sample) | tasks in system |\n|---|---|\n";
+    List.iteri (fun i (t, n) -> if i mod 10 = 0 then pr "| %.0f | %d |\n" t n) trace);
   let bl = figure_6_8_bilinear () in
   pr "\n## figure-6-7/6-8 — long chains and the constrained bilinear network\n\n";
   pr "- `%s`: %d CEs\n" bl.bl_production bl.bl_ces;
@@ -674,10 +588,11 @@ let markdown_report () =
   pr
     "\nPaper shape: after chunking, Eight-Puzzle gains most (~10x at 13 procs); Cypress's after run is very short.\n";
   let dump_hist name h =
-    pr "\n## %s — tasks/cycle histogram\n\n| bucket | share |\n|---|---|\n" name;
+    pr "\n## %s — tasks/cycle histogram\n\n| bucket | cycles | share |\n|---|---|---|\n"
+      name;
     List.iter
       (fun (lo, hi, n, frac) ->
-        if n > 0 then pr "| %.0f-%.0f | %.1f%% |\n" lo hi (100. *. frac))
+        if n > 0 then pr "| %.0f-%.0f | %d | %.1f%% |\n" lo hi n (100. *. frac))
       (Histogram.rows h)
   in
   dump_hist "figure-6-11 (without chunking)" (figure_6_11 ());

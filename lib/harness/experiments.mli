@@ -1,7 +1,8 @@
 (** One reproduction entry per table and figure of the paper's
     evaluation (§5–§6). Each function runs the workloads it needs (runs
-    are cached within the process), returns structured data, and can
-    print itself in the same rows/series the paper reports.
+    are cached within the process) and returns structured data;
+    {!markdown_report} renders them all in the rows and series the
+    paper reports.
 
     Engine note: speedup figures come from the simulated multiprocessor
     (see {!Psme_engine.Sim}); uniprocessor times are the cost model's
@@ -142,10 +143,8 @@ val future_io_rate : unit -> (int * float) list
     raises parallelism. Returns (readings per channel per cycle,
     13-process speedup) for the streaming-sensor workload. *)
 
-val print_all : Format.formatter -> unit
-(** Run and print every table and figure ([soar_cli report]). *)
-
 val markdown_report : unit -> string
-(** The EXPERIMENTS.md body: paper-vs-measured for every entry. *)
+(** Run every table and figure and render them as the EXPERIMENTS.md
+    body, paper vs. measured ([soar_cli report] prints it). *)
 
 val clear_cache : unit -> unit

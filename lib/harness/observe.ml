@@ -1,5 +1,6 @@
 open Psme_support
 open Psme_rete
+open Psme_engine
 open Psme_obs
 
 let kind_name = function
@@ -51,3 +52,38 @@ let profile net events =
 
 let chrome_trace ?ledgers net buf events =
   Chrome_trace.to_buffer ~node_name:(node_name net) ?ledgers buf events
+
+(* The [.count], [.total], [.mean], [.min] and [.max] rows of one
+   per-cycle quantity; none when no cycle contributes. *)
+let summary name = function
+  | [] -> []
+  | x :: _ as xs ->
+    let n = float_of_int (List.length xs) in
+    let total = List.fold_left ( +. ) 0. xs in
+    [
+      (name ^ ".count", n);
+      (name ^ ".total", total);
+      (name ^ ".mean", total /. n);
+      (name ^ ".min", List.fold_left Float.min x xs);
+      (name ^ ".max", List.fold_left Float.max x xs);
+    ]
+
+let metrics engine =
+  let history = Engine.history engine in
+  let t = Engine.totals engine in
+  let count name n = (name, float_of_int n) in
+  let worked = List.filter (fun s -> s.Cycle.tasks > 0) history in
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    ([
+       count "engine.cycles" (List.length history);
+       count "engine.tasks" t.Cycle.tasks;
+       count "engine.failed_pops" t.Cycle.failed_pops;
+       count "engine.scanned" t.Cycle.scanned;
+       count "engine.emitted" t.Cycle.emitted;
+       count "rete.runtime.alpha_activations" t.Cycle.alpha_activations;
+     ]
+    @ summary "engine.cycle.serial_us" (List.map (fun s -> s.Cycle.serial_us) history)
+    @ summary "engine.cycle.makespan_us" (List.map (fun s -> s.Cycle.makespan_us) history)
+    @ summary "engine.cycle.speedup_x" (List.map Cycle.speedup worked)
+    @ Metrics.snapshot Metrics.global)

@@ -5,7 +5,8 @@
     node metadata as plain lookup functions. This module derives those
     functions from a {!Psme_rete.Network.t} — node kinds, human-readable
     node names, and the node → owning-productions map (a shared node is
-    owned by every production whose chain passes through it). *)
+    owned by every production whose chain passes through it) — and
+    folds an engine's history into the profile's metric rows. *)
 
 open Psme_rete
 open Psme_obs
@@ -36,3 +37,14 @@ val chrome_trace :
 (** {!Psme_obs.Chrome_trace.to_buffer} with this network's node names
     (queue events included; [ledgers] adds the attribution counter
     track). *)
+
+val metrics : Psme_engine.Engine.t -> Metrics.snapshot
+(** The rows [soar_cli profile] prints under "metrics registry:", folded
+    from the engine's history: the sums [engine.cycles], [engine.tasks],
+    [engine.failed_pops], [engine.scanned], [engine.emitted] and
+    [rete.runtime.alpha_activations]; the [.count], [.total], [.mean],
+    [.min] and [.max] of [engine.cycle.serial_us] and
+    [engine.cycle.makespan_us] over every cycle and of
+    [engine.cycle.speedup_x] over the cycles with tasks (absent when no
+    cycle contributes); and {!Psme_obs.Metrics.snapshot}'s probe rows —
+    all sorted by name. *)

@@ -1,49 +1,9 @@
-open Psme_support
-
-type counter = int Atomic.t
-
 type t = {
   lock : Mutex.t;
-  counters : (string, counter) Hashtbl.t;
-  gauges : (string, Stats.t) Hashtbl.t;
   probes : (string, unit -> float) Hashtbl.t;
 }
 
-let create () =
-  {
-    lock = Mutex.create ();
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 64;
-    probes = Hashtbl.create 64;
-  }
-
-let global = create ()
-
-let counter t name =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.counters name with
-      | Some c -> c
-      | None ->
-        let c = Atomic.make 0 in
-        Hashtbl.replace t.counters name c;
-        c)
-
-let incr c = Atomic.incr c
-let add c n = ignore (Atomic.fetch_and_add c n)
-let value c = Atomic.get c
-
-let gauge t name =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.gauges name with
-      | Some g -> g
-      | None ->
-        let g = Stats.create () in
-        Hashtbl.replace t.gauges name g;
-        g)
-
-let observe t name x =
-  let g = gauge t name in
-  Mutex.protect t.lock (fun () -> Stats.add g x)
+let global = { lock = Mutex.create (); probes = Hashtbl.create 16 }
 
 let set_probe t name f =
   Mutex.protect t.lock (fun () -> Hashtbl.replace t.probes name f)
@@ -53,35 +13,8 @@ type snapshot = (string * float) list
 let snapshot t =
   let rows = ref [] in
   Mutex.protect t.lock (fun () ->
-      Hashtbl.iter
-        (fun name c -> rows := (name, float_of_int (Atomic.get c)) :: !rows)
-        t.counters;
-      Hashtbl.iter
-        (fun name g ->
-          rows := (name ^ ".count", float_of_int (Stats.count g)) :: !rows;
-          if Stats.count g > 0 then begin
-            rows := (name ^ ".total", Stats.total g) :: !rows;
-            rows := (name ^ ".mean", Stats.mean g) :: !rows;
-            rows := (name ^ ".min", Stats.min g) :: !rows;
-            rows := (name ^ ".max", Stats.max g) :: !rows
-          end)
-        t.gauges;
       Hashtbl.iter (fun name f -> rows := (name, f ()) :: !rows) t.probes);
   List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
-
-let delta ~before ~after =
-  let prior = Hashtbl.create (List.length before) in
-  List.iter (fun (k, v) -> Hashtbl.replace prior k v) before;
-  List.map
-    (fun (k, v) ->
-      let v0 = Option.value ~default:0. (Hashtbl.find_opt prior k) in
-      (k, v -. v0))
-    after
-
-let reset t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c 0) t.counters;
-      Hashtbl.reset t.gauges)
 
 let pp ppf (snap : snapshot) =
   List.iter

@@ -25,16 +25,12 @@ type outcome = Program.outcome = {
 let set_lock_elision = Program.set_lock_elision
 let lock_elision = Program.lock_elision
 
-(* Task, scan and emit totals are not counted here: every engine adds
-   them once per episode ([engine.tasks], [.scanned], [.emitted]), so the
-   per-task path bumps no shared counter. The alpha pass runs once per
-   wme change, not per task. *)
-let m_alpha =
-  Psme_obs.Metrics.counter Psme_obs.Metrics.global "rete.runtime.alpha_activations"
-
 (* The jumptable dispatch (§5.1): every live node has a compiled
    program; a task whose node was excised while it sat in a queue finds
-   an empty slot and is absorbed. *)
+   an empty slot and is absorbed. Nothing here is counted into shared
+   state: [exec] returns each task's scans and children and [seed] its
+   alpha activations, and the engine keeps their per-episode sums in
+   its history, the run's one ledger of them. *)
 let exec net task =
   match Program.find net (Task.node task) with
   | Some p -> Program.run p task
@@ -43,15 +39,11 @@ let exec net task =
 (* --- alpha seeding ------------------------------------------------------ *)
 
 let seed ?(min_node_id = 0) net flag w push =
-  let activations =
-    Alpha.matching_successors net.alpha w (fun succs ->
-        for i = 0 to Array.length succs - 1 do
-          let nid = succs.(i) in
-          if nid >= min_node_id then push (Task.Right { node = nid; flag; wme = w })
-        done)
-  in
-  Psme_obs.Metrics.add m_alpha activations;
-  activations
+  Alpha.matching_successors net.alpha w (fun succs ->
+      for i = 0 to Array.length succs - 1 do
+        let nid = succs.(i) in
+        if nid >= min_node_id then push (Task.Right { node = nid; flag; wme = w })
+      done)
 
 let seed_wme_change ?min_node_id net flag w =
   let tasks = ref [] in

@@ -34,11 +34,3 @@ let lower_bound t i = t.width *. float_of_int i
 let rows t =
   List.init (Array.length t.counts) (fun i ->
       (lower_bound t i, lower_bound t (i + 1), t.counts.(i), fraction_in t i))
-
-let pp ?(label = "") () ppf t =
-  if label <> "" then Format.fprintf ppf "%s@." label;
-  List.iter
-    (fun (lo, hi, n, frac) ->
-      let bar = String.make (int_of_float (frac *. 50.)) '#' in
-      Format.fprintf ppf "  [%6.0f,%6.0f) %6d %5.1f%% %s@." lo hi n (100. *. frac) bar)
-    (rows t)

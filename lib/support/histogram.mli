@@ -27,6 +27,3 @@ val lower_bound : t -> int -> float
 
 val rows : t -> (float * float * int * float) list
 (** [(lo, hi, count, fraction)] for each bucket, in order. *)
-
-val pp : ?label:string -> unit -> Format.formatter -> t -> unit
-(** Text rendering with proportional bars. *)

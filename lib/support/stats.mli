@@ -1,23 +1,4 @@
-(** Streaming summary statistics and simple series utilities. *)
-
-type t
-(** Accumulates count / mean / min / max / variance in one pass
-    (Welford's algorithm). *)
-
-val create : unit -> t
-val add : t -> float -> unit
-val count : t -> int
-val mean : t -> float
-(** 0 when empty. *)
-
-val total : t -> float
-val min : t -> float
-val max : t -> float
-val stddev : t -> float
-val merge : t -> t -> t
-(** Combine two accumulators (parallel reduction). *)
-
-val pp : Format.formatter -> t -> unit
+(** Order statistics of a sample (perfbench's medians and quantiles). *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,100]; sorts a copy. Nearest-rank:

@@ -207,6 +207,43 @@ let test_engine_facade_history () =
   Engine.reset_history eng;
   Alcotest.(check int) "reset" 0 (List.length (Engine.history eng))
 
+(* A process count below 1 is a configuration error, not an empty
+   schedule: the simulator used to return a cycle that ran none of its
+   tasks, the Domains engine to divide by zero. *)
+let bad_procs = [ 0; -1 ]
+let both_queue_modes = [ Parallel.Single_queue; Parallel.Multiple_queues ]
+
+let test_sim_rejects_no_procs () =
+  let schema, net = fresh () in
+  let changes = random_changes schema ~seed:19 ~n:10 in
+  List.iter
+    (fun procs ->
+      List.iter
+        (fun queues ->
+          Alcotest.check_raises
+            (Printf.sprintf "procs %d" procs)
+            (Invalid_argument "Sim: procs must be at least 1")
+            (fun () ->
+              ignore
+                (Sim.run_changes { Sim.procs; queues; collect_trace = false } net changes)))
+        both_queue_modes)
+    bad_procs
+
+let test_parallel_rejects_no_procs () =
+  let schema, net = fresh () in
+  let changes = random_changes schema ~seed:19 ~n:10 in
+  List.iter
+    (fun processes ->
+      List.iter
+        (fun queues ->
+          Alcotest.check_raises
+            (Printf.sprintf "processes %d" processes)
+            (Invalid_argument "Parallel: processes must be at least 1")
+            (fun () ->
+              ignore (Parallel.run_changes { Parallel.processes; queues } net changes)))
+        both_queue_modes)
+    bad_procs
+
 let suite =
   [
     Alcotest.test_case "parallel engines match serial" `Quick test_parallel_matches_serial;
@@ -221,4 +258,7 @@ let suite =
     Alcotest.test_case "serial stats consistency" `Quick test_serial_stats_consistency;
     Alcotest.test_case "cost model band" `Quick test_cost_model_band;
     Alcotest.test_case "engine facade history" `Quick test_engine_facade_history;
+    Alcotest.test_case "sim rejects procs below 1" `Quick test_sim_rejects_no_procs;
+    Alcotest.test_case "parallel rejects processes below 1" `Quick
+      test_parallel_rejects_no_procs;
   ]

@@ -1,8 +1,8 @@
 (* Unit tests for the observability layer: the JSON writer/validator,
-   the metrics registry, the event tracer's ring buffer, the Chrome
-   trace exporter, the per-node/per-production profiler and the
-   critical-path analyzer — plus the [Cycle.to_json] field-name
-   contract. *)
+   the metrics probes and the profile's fold of the engine history, the
+   event tracer's ring buffer, the Chrome trace exporter, the
+   per-node/per-production profiler and the critical-path analyzer —
+   plus the [Cycle.to_json] field-name contract. *)
 
 open Psme_ops5
 open Psme_obs
@@ -46,35 +46,20 @@ let test_json_validate () =
 (* --- metrics ------------------------------------------------------------- *)
 
 let test_metrics_registry () =
-  let r = Metrics.create () in
-  let c = Metrics.counter r "a.count" in
-  Metrics.incr c;
-  Metrics.add c 4;
-  Alcotest.(check int) "counter value" 5 (Metrics.value c);
-  Metrics.observe r "a.gauge" 2.;
-  Metrics.observe r "a.gauge" 6.;
-  Metrics.set_probe r "a.probe" (fun () -> 42.);
+  let r = Metrics.global in
+  Metrics.set_probe r "test.probe" (fun () -> 42.);
+  Alcotest.(check (float 0.)) "probe sampled" 42.
+    (List.assoc "test.probe" (Metrics.snapshot r));
+  (* re-registering a name replaces its callback *)
+  Metrics.set_probe r "test.probe" (fun () -> 7.);
   let snap = Metrics.snapshot r in
-  let get name = List.assoc name snap in
-  Alcotest.(check (float 0.)) "counter in snapshot" 5. (get "a.count");
-  Alcotest.(check (float 0.)) "gauge count" 2. (get "a.gauge.count");
-  Alcotest.(check (float 1e-9)) "gauge mean" 4. (get "a.gauge.mean");
-  Alcotest.(check (float 0.)) "gauge total" 8. (get "a.gauge.total");
-  Alcotest.(check (float 0.)) "probe sampled" 42. (get "a.probe");
+  Alcotest.(check (float 0.)) "latest probe wins" 7. (List.assoc "test.probe" snap);
+  Alcotest.(check int) "one row per name" 1
+    (List.length (List.filter (fun (k, _) -> k = "test.probe") snap));
   Alcotest.(check bool) "sorted by name" true
     (List.sort compare snap = snap);
-  (* same-name lookups share state; delta meters a region *)
-  Metrics.incr (Metrics.counter r "a.count");
-  let snap' = Metrics.snapshot r in
-  Alcotest.(check (float 0.)) "delta" 1.
-    (List.assoc "a.count" (Metrics.delta ~before:snap ~after:snap'));
   Alcotest.(check bool) "json validates" true
-    (Result.is_ok (Json.validate (Metrics.to_json snap')));
-  Metrics.reset r;
-  Alcotest.(check (float 0.)) "reset zeroes counters" 0.
-    (List.assoc "a.count" (Metrics.snapshot r));
-  Alcotest.(check (float 0.)) "probes survive reset" 42.
-    (List.assoc "a.probe" (Metrics.snapshot r))
+    (Result.is_ok (Json.validate (Metrics.to_json snap)))
 
 (* --- tracer ring ---------------------------------------------------------- *)
 
@@ -194,6 +179,70 @@ let test_profile_totals_match_serial () =
   in
   Alcotest.(check (float 0.5)) "prod rows partition task time"
     prof.Profile.total_us prod_sum
+
+(* The profile's metric rows are a fold of the engine's own history:
+   every count is the sum over the recorded cycles, and the speedup
+   summary covers only the cycles that ran tasks. *)
+let test_profile_metrics_fold () =
+  let net, engine, _ = traced_run () in
+  ignore (Engine.run_changes engine []);
+  let history = Engine.history engine in
+  let worked = List.filter (fun (s : Cycle.stats) -> s.Cycle.tasks > 0) history in
+  Alcotest.(check bool) "an empty cycle is recorded" true
+    (List.length worked < List.length history && worked <> []);
+  let rows = Psme_harness.Observe.metrics engine in
+  let get name =
+    match List.assoc_opt name rows with
+    | Some v -> v
+    | None -> Alcotest.failf "no row %s" name
+  in
+  let sum f = float_of_int (List.fold_left (fun a s -> a + f s) 0 history) in
+  let fsum f xs = List.fold_left (fun a s -> a +. f s) 0. xs in
+  Alcotest.(check (float 0.)) "cycles" (float_of_int (List.length history))
+    (get "engine.cycles");
+  List.iter
+    (fun (name, f) -> Alcotest.(check (float 0.)) name (sum f) (get name))
+    [
+      ("engine.tasks", fun s -> s.Cycle.tasks);
+      ("engine.failed_pops", fun s -> s.Cycle.failed_pops);
+      ("engine.scanned", fun s -> s.Cycle.scanned);
+      ("engine.emitted", fun s -> s.Cycle.emitted);
+      ("rete.runtime.alpha_activations", fun s -> s.Cycle.alpha_activations);
+    ];
+  Alcotest.(check (float 0.)) "serial_us over every cycle"
+    (float_of_int (List.length history))
+    (get "engine.cycle.serial_us.count");
+  Alcotest.(check (float 0.)) "serial_us total"
+    (fsum (fun s -> s.Cycle.serial_us) history)
+    (get "engine.cycle.serial_us.total");
+  Alcotest.(check (float 0.)) "makespan_us total"
+    (fsum (fun s -> s.Cycle.makespan_us) history)
+    (get "engine.cycle.makespan_us.total");
+  let speedups = List.map Cycle.speedup worked in
+  Alcotest.(check (float 0.)) "speedup_x over cycles with tasks"
+    (float_of_int (List.length worked))
+    (get "engine.cycle.speedup_x.count");
+  Alcotest.(check (float 0.)) "speedup_x total" (fsum Fun.id speedups)
+    (get "engine.cycle.speedup_x.total");
+  Alcotest.(check (float 0.)) "speedup_x min"
+    (List.fold_left Float.min Float.infinity speedups)
+    (get "engine.cycle.speedup_x.min");
+  Alcotest.(check (float 0.)) "speedup_x max"
+    (List.fold_left Float.max Float.neg_infinity speedups)
+    (get "engine.cycle.speedup_x.max");
+  Alcotest.(check (float 1e-9)) "speedup_x mean"
+    (fsum Fun.id speedups /. float_of_int (List.length speedups))
+    (get "engine.cycle.speedup_x.mean");
+  Alcotest.(check bool) "sorted by name" true (List.sort compare rows = rows);
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool) ("probe row " ^ name) true (List.mem_assoc name rows))
+    (Metrics.snapshot Metrics.global);
+  (* a run with no episodes has zero counts and no summaries *)
+  let idle = Psme_harness.Observe.metrics (Engine.create Engine.Serial_mode net) in
+  Alcotest.(check (float 0.)) "idle cycles" 0. (List.assoc "engine.cycles" idle);
+  Alcotest.(check bool) "idle: no summary rows" false
+    (List.mem_assoc "engine.cycle.serial_us.count" idle)
 
 let test_critical_path_bounds () =
   let _, engine, tracer = traced_run () in
@@ -500,6 +549,7 @@ let suite =
     Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
     Alcotest.test_case "chrome trace valid" `Quick test_chrome_trace_valid;
     Alcotest.test_case "profile totals = serial time" `Quick test_profile_totals_match_serial;
+    Alcotest.test_case "profile metrics fold the history" `Quick test_profile_metrics_fold;
     Alcotest.test_case "critical path bounds" `Quick test_critical_path_bounds;
     Alcotest.test_case "eight-puzzle chain bounds" `Slow test_eight_puzzle_chain_bounds;
     Alcotest.test_case "cycle to_json contract" `Quick test_cycle_to_json_fields;
