@@ -66,6 +66,7 @@ let acc_create () =
    {e exclusive} cost (own minus children). *)
 type frame = {
   mutable f_phase : int;
+  mutable f_stat_reads : int;  (* collection-count reads phase_begin made *)
   mutable f_t0_ns : int;
   mutable f_minor0 : int;
   mutable f_promoted0 : int;
@@ -84,7 +85,7 @@ type frame = {
 
 let frame_create () =
   {
-    f_phase = 0; f_t0_ns = 0; f_minor0 = 0; f_promoted0 = 0; f_major0 = 0;
+    f_phase = 0; f_stat_reads = 0; f_t0_ns = 0; f_minor0 = 0; f_promoted0 = 0; f_major0 = 0;
     f_minor_col0 = 0; f_major_col0 = 0; f_compact0 = 0;
     f_child_ns = 0; f_child_minor = 0; f_child_promoted = 0; f_child_major = 0;
     f_child_minor_col = 0; f_child_major_col = 0; f_child_compact = 0;
@@ -93,21 +94,26 @@ let frame_create () =
 let max_depth = 8
 
 (* Minor words must come from [Gc.minor_words ()] (an unboxed
-   [@@noalloc] external reading the live young pointer), NOT from the
+   [@@noalloc] external reading the live young pointer), NOT from a
    [Gc.quick_stat] record: in native code the stat record's
    [minor_words] field is only synced at minor collections, so a
    section shorter than a collection interval would always read a zero
-   delta. quick_stat still supplies promoted/major words and collection
-   counts, which by nature only advance at collections.
+   delta. Promoted and major words come from [Gc.counters], the calling
+   domain's counters (about 20 ns; a quick_stat computes the whole
+   program's stats, over a microsecond). Collection counts exist only
+   in the quick_stat record, but a collection that keeps anything
+   moves the promoted words: the counts are re-read only when those
+   moved since the last read, which a few sections per collection pay.
 
    The begin/end reads are ordered so that a section's own minor-word
-   window contains no measurement allocation at all (the quick_stat
-   record and the boxed [gettimeofday] float are allocated outside the
-   window). A {e nested} section's measurement calls do land in its
-   parent's window, though: two quick_stats and two clock reads per
-   child. Calibrate those two constants once and charge them to the
-   parent's child-total alongside the child's own words, so exclusive
-   attribution measures the phase, not the measurement. *)
+   window contains no measurement allocation at all (the counters
+   tuple, any stat record and the boxed [gettimeofday] float are
+   allocated outside the window). A {e nested} section's measurement
+   calls do land in its parent's window, though: two counters reads,
+   two clock reads and the stat reads it made. Calibrate those
+   constants once and charge them to the parent's child-total alongside
+   the child's own words, so exclusive attribution measures the phase,
+   not the measurement. *)
 let calibrate sample =
   let m = ref Stdlib.max_int in
   for _ = 1 to 8 do
@@ -124,6 +130,14 @@ let quick_stat_self_words =
       ignore (Sys.opaque_identity s);
       int_of_float (b -. a))
 
+let counters_self_words =
+  calibrate (fun () ->
+      let a = Gc.minor_words () in
+      let c = Gc.counters () in
+      let b = Gc.minor_words () in
+      ignore (Sys.opaque_identity c);
+      int_of_float (b -. a))
+
 let clock_self_words =
   calibrate (fun () ->
       let a = Gc.minor_words () in
@@ -132,9 +146,10 @@ let clock_self_words =
       ignore (Sys.opaque_identity t);
       int_of_float (b -. a))
 
-(* words a nested section's four measurement calls allocate inside its
-   parent's window *)
-let child_measure_words = (2 * quick_stat_self_words) + (2 * clock_self_words)
+(* words a nested section's fixed measurement calls allocate inside
+   its parent's window; each stat read it made adds
+   [quick_stat_self_words] *)
+let child_measure_words = (2 * counters_self_words) + (2 * clock_self_words)
 
 type t = {
   phase_accs : phase_acc array;
@@ -158,6 +173,12 @@ type t = {
   lock_contended : int Atomic.t;
   lock_spins : int Atomic.t;
   mutable cycles : int;
+  (* the collection counts as last read, and the promoted words then
+     (-1: never read) *)
+  mutable stat_promoted : int;
+  mutable minor_col : int;
+  mutable major_col : int;
+  mutable compactions : int;
 }
 
 let create () =
@@ -180,11 +201,28 @@ let create () =
     lock_contended = Atomic.make 0;
     lock_spins = Atomic.make 0;
     cycles = 0;
+    stat_promoted = -1;
+    minor_col = 0;
+    major_col = 0;
+    compactions = 0;
   }
 
 let global = create ()
 
 (* --- phase accounting -------------------------------------------------- *)
+
+(* Re-read the collection counts if a collection promoted words since
+   the last read; 1 if it read them, else 0. *)
+let refresh_collections t promoted =
+  if promoted = t.stat_promoted then 0
+  else begin
+    let s = Gc.quick_stat () in
+    t.stat_promoted <- promoted;
+    t.minor_col <- s.Gc.minor_collections;
+    t.major_col <- s.Gc.major_collections;
+    t.compactions <- s.Gc.compactions;
+    1
+  end
 
 let phase_begin t phase =
   if t.depth >= max_depth then begin
@@ -192,15 +230,17 @@ let phase_begin t phase =
     t.dropped_sections <- t.dropped_sections + 1
   end
   else begin
-    let s = Gc.quick_stat () in
+    let _, promoted, major = Gc.counters () in
+    let promoted = int_of_float promoted in
     let f = t.frames.(t.depth) in
     t.depth <- t.depth + 1;
     f.f_phase <- phase_index phase;
-    f.f_promoted0 <- int_of_float s.Gc.promoted_words;
-    f.f_major0 <- int_of_float s.Gc.major_words;
-    f.f_minor_col0 <- s.Gc.minor_collections;
-    f.f_major_col0 <- s.Gc.major_collections;
-    f.f_compact0 <- s.Gc.compactions;
+    f.f_stat_reads <- refresh_collections t promoted;
+    f.f_promoted0 <- promoted;
+    f.f_major0 <- int_of_float major;
+    f.f_minor_col0 <- t.minor_col;
+    f.f_major_col0 <- t.major_col;
+    f.f_compact0 <- t.compactions;
     f.f_child_ns <- 0;
     f.f_child_minor <- 0;
     f.f_child_promoted <- 0;
@@ -208,7 +248,7 @@ let phase_begin t phase =
     f.f_child_minor_col <- 0;
     f.f_child_major_col <- 0;
     f.f_child_compact <- 0;
-    (* clock after the stat sampling so the span excludes it; precise
+    (* clock after the counter reads so the span excludes them; precise
        minor counter last so the allocation window excludes the boxed
        clock read too *)
     f.f_t0_ns <- Clock.now_ns ();
@@ -222,21 +262,23 @@ let phase_end t phase =
   else if t.depth = 0 then ()
   else begin
     (* mirror of phase_begin's ordering: close the allocation window
-       before the clock and stat reads allocate *)
+       before the clock and counter reads allocate *)
     let minor_now = int_of_float (Gc.minor_words ()) in
     let now = Clock.now_ns () in
-    let s = Gc.quick_stat () in
+    let _, promoted, major = Gc.counters () in
+    let promoted = int_of_float promoted in
+    let stat_reads = refresh_collections t promoted in
     t.depth <- t.depth - 1;
     let f = t.frames.(t.depth) in
     (* unbalanced begin/end pairs attribute to the frame actually open *)
     ignore (phase_index phase);
     let raw_ns = now - f.f_t0_ns in
     let raw_minor = minor_now - f.f_minor0 in
-    let raw_promoted = int_of_float s.Gc.promoted_words - f.f_promoted0 in
-    let raw_major = int_of_float s.Gc.major_words - f.f_major0 in
-    let raw_minor_col = s.Gc.minor_collections - f.f_minor_col0 in
-    let raw_major_col = s.Gc.major_collections - f.f_major_col0 in
-    let raw_compact = s.Gc.compactions - f.f_compact0 in
+    let raw_promoted = promoted - f.f_promoted0 in
+    let raw_major = int_of_float major - f.f_major0 in
+    let raw_minor_col = t.minor_col - f.f_minor_col0 in
+    let raw_major_col = t.major_col - f.f_major_col0 in
+    let raw_compact = t.compactions - f.f_compact0 in
     let pos x = if x < 0 then 0 else x in
     let acc = t.phase_accs.(f.f_phase) in
     acc.a_sections <- acc.a_sections + 1;
@@ -260,7 +302,9 @@ let phase_end t phase =
     if t.depth > 0 then begin
       let p = t.frames.(t.depth - 1) in
       p.f_child_ns <- p.f_child_ns + raw_ns;
-      p.f_child_minor <- p.f_child_minor + raw_minor + child_measure_words;
+      p.f_child_minor <-
+        p.f_child_minor + raw_minor + child_measure_words
+        + ((f.f_stat_reads + stat_reads) * quick_stat_self_words);
       p.f_child_promoted <- p.f_child_promoted + raw_promoted;
       p.f_child_major <- p.f_child_major + raw_major;
       p.f_child_minor_col <- p.f_child_minor_col + raw_minor_col;
@@ -271,7 +315,13 @@ let phase_end t phase =
 
 let with_phase t phase f =
   phase_begin t phase;
-  Fun.protect ~finally:(fun () -> phase_end t phase) f
+  match f () with
+  | v ->
+    phase_end t phase;
+    v
+  | exception e ->
+    phase_end t phase;
+    raise e
 
 (* --- record paths ------------------------------------------------------- *)
 

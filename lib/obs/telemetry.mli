@@ -7,11 +7,21 @@
     [Gc.minor_words] across a burst of records). Phase accounting reads
     minor words from the precise [Gc.minor_words] counter (the
     [Gc.quick_stat] field only syncs at minor collections and reads a
-    zero delta over short sections) and orders its measurement calls so
-    a section's own window contains no measurement allocation; a nested
-    section's measurement overhead is calibrated at module load and
-    charged to the parent's child total, so attributed words measure
-    the phase rather than the measurement.
+    zero delta over short sections) and promoted and major words from
+    [Gc.counters]: all three are the {e calling domain's} words, so a
+    section on one domain does not see what other domains allocate.
+    Collection counts come from [Gc.quick_stat], re-read only when the
+    promoted words moved since the last read. Measurement calls are
+    ordered so a section's own window contains no measurement
+    allocation; a nested section's measurement overhead is calibrated
+    at module load and charged to the parent's child total, so
+    attributed words measure the phase rather than the measurement.
+
+    One section costs two [Gc.counters] reads and two clock reads:
+    about 155 ns and 20 words on a 2-core x86-64 container with OCaml
+    5.1 (two [Gc.quick_stat] reads made it about 2.8 µs and 48 words).
+    A section in which a collection promoted words pays one
+    [Gc.quick_stat] more, about 1.3 µs and 24 words.
 
     Three kinds of signal:
     - {b per-phase GC accounting}: minor/promoted/major words,
@@ -56,7 +66,8 @@ val phase_begin : t -> phase -> unit
 val phase_end : t -> phase -> unit
 
 val with_phase : t -> phase -> (unit -> 'a) -> 'a
-(** Bracketed {!phase_begin}/{!phase_end}; the end runs on exceptions. *)
+(** Bracketed {!phase_begin}/{!phase_end}; the end runs on exceptions
+    too. *)
 
 (** {2 Record paths — allocation-free} *)
 

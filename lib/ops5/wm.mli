@@ -22,7 +22,26 @@ val remove : t -> Wme.t -> unit
 
 val mem : t -> Wme.t -> bool
 val size : t -> int
+
 val iter : (Wme.t -> unit) -> t -> unit
+(** Visits every wme in the order {!iter_order} gives. The order is the
+    same in every process ([OCAMLRUNPARAM=R] does not move it). *)
+
+val iter_order : t -> Wme.t -> Wme.t -> int
+(** The order {!iter} visits wmes in: ascending
+    [Hashtbl.hash timetag land (buckets t - 1)], then descending
+    timetag. Sorting a few wmes with it puts them in walk order without
+    visiting the rest. It reads the current bucket count, so sort at
+    the point the walk it stands for would run. *)
+
+val buckets : t -> int
+(** The bucket count of the table behind {!iter}, mirrored from its
+    growth: it starts at 256 and doubles when an add leaves more than
+    two wmes per bucket. *)
+
+val stats : t -> Hashtbl.statistics
+(** The table's own statistics; its [num_buckets] is {!buckets}. *)
+
 val to_list : t -> Wme.t list
 (** In ascending timetag order. *)
 

@@ -59,7 +59,6 @@ type line = {
   lock : Mutex.t;
   left : l_item side;
   right : r_item side;
-  mutable left_accesses : int;  (* since last reset_cycle_stats *)
   (* since creation; like every field above, written only under the
      line lock, and summed over the lines when read *)
   mutable left_total : int;
@@ -70,7 +69,11 @@ type t = {
   lines : line array;
   mask : int;
   spins : int Atomic.t;
-  hist : (int, int) Hashtbl.t;
+  left_accesses : int array;
+      (* line -> left accesses since the last reset_cycle_stats; slot i
+         is written only under line i's lock. One flat array, so the
+         per-cycle fold reads no line record. *)
+  mutable hist : int array;
   (* accesses-per-line-per-cycle [k] -> total left accesses on lines
      that saw [k] accesses that cycle (each line contributes k); see
      [access_histogram] in the interface *)
@@ -255,10 +258,11 @@ let create ?(lines = 512) () =
       lines =
         Array.init n (fun _ ->
             { lock = Mutex.create (); left = new_side Left; right = new_side Right;
-              left_accesses = 0; left_total = 0; right_total = 0 });
+              left_total = 0; right_total = 0 });
       mask = n - 1;
       spins = Atomic.make 0;
-      hist = Hashtbl.create 64;
+      left_accesses = Array.make n 0;
+      hist = [||];
     }
   in
   (* The most recently created memory owns the well-known probe names;
@@ -312,8 +316,9 @@ let locked t ~line f =
 
 (* --- left side ---------------------------------------------------------- *)
 
-let touch_left l =
-  l.left_accesses <- l.left_accesses + 1;
+(* [li] is [l]'s index, which bounds it by the line count *)
+let touch_left t li l =
+  Array.unsafe_set t.left_accesses li (Array.unsafe_get t.left_accesses li + 1);
   l.left_total <- l.left_total + 1
 
 (* Walk [key]'s chain for [node]'s entry of [token]: its position, or
@@ -337,8 +342,9 @@ let find_left s key ~node ~khash token =
 let inert = { l_token = Token.of_wmes [||]; l_refs = 0; l_count = 0 }
 
 let left_insert t ~node ~khash token ~count =
-  let l = t.lines.(line_of t ~khash) in
-  touch_left l;
+  let li = line_of t ~khash in
+  let l = t.lines.(li) in
+  touch_left t li l;
   let s = l.left in
   let key = bkey ~node ~khash in
   let i = find_left s key ~node ~khash token in
@@ -360,8 +366,9 @@ let left_insert t ~node ~khash token ~count =
   end
 
 let left_delete t ~node ~khash token =
-  let l = t.lines.(line_of t ~khash) in
-  touch_left l;
+  let li = line_of t ~khash in
+  let l = t.lines.(li) in
+  touch_left t li l;
   let s = l.left in
   let key = bkey ~node ~khash in
   let i = find_left s key ~node ~khash token in
@@ -393,8 +400,9 @@ let left_remove t ~node ~khash token =
 let left_population t ~khash = t.lines.(line_of t ~khash).left.len
 
 let left_fold t ~node ~khash ~stage x step acc =
-  let l = t.lines.(line_of t ~khash) in
-  touch_left l;
+  let li = line_of t ~khash in
+  let l = t.lines.(li) in
+  touch_left t li l;
   let s = l.left in
   let i = ref (head s (bkey ~node ~khash)) in
   if !i < 0 then acc
@@ -583,24 +591,31 @@ let fold_right_entries t ~init ~f =
     init t.lines
 
 let reset_cycle_stats t =
-  Array.iter
-    (fun line ->
-      if line.left_accesses > 0 then begin
-        let k = line.left_accesses in
-        (* each of the line's k accesses was one left token arriving at a
-           line with k accesses this cycle: weight the bin by k *)
-        let prev = Option.value ~default:0 (Hashtbl.find_opt t.hist k) in
-        Hashtbl.replace t.hist k (prev + k);
-        line.left_accesses <- 0
-      end)
-    t.lines
+  let counts = t.left_accesses in
+  for i = 0 to Array.length counts - 1 do
+    let k = Array.unsafe_get counts i in
+    if k > 0 then begin
+      if k >= Array.length t.hist then begin
+        let hist = Array.make (max 16 (2 * k)) 0 in
+        Array.blit t.hist 0 hist 0 (Array.length t.hist);
+        t.hist <- hist
+      end;
+      (* each of the line's k accesses was one left token arriving at a
+         line with k accesses this cycle: weight the bin by k *)
+      t.hist.(k) <- t.hist.(k) + k;
+      Array.unsafe_set counts i 0
+    end
+  done
 
 let access_histogram t =
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.hist []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let bins = ref [] in
+  for k = Array.length t.hist - 1 downto 1 do
+    if t.hist.(k) > 0 then bins := (k, t.hist.(k)) :: !bins
+  done;
+  !bins
 
-let clear_access_histogram t = Hashtbl.reset t.hist
+let clear_access_histogram t = t.hist <- [||]
 
-let left_accesses_per_line t = Array.map (fun line -> line.left_accesses) t.lines
+let left_accesses_per_line t = Array.copy t.left_accesses
 let total_spins t = Atomic.get t.spins
 

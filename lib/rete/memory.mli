@@ -165,7 +165,9 @@ val fold_right_entries :
 
 val reset_cycle_stats : t -> unit
 (** Fold the per-cycle access counters into the histogram and clear them
-    (call at each elaboration-cycle boundary). *)
+    (call at each elaboration-cycle boundary, with no access running).
+    The counters sit in one int per line, each written under its line's
+    lock, so the fold reads no line record. *)
 
 val left_accesses_per_line : t -> int array
 (** Left-token accesses per line since the last reset — the quantity of

@@ -80,6 +80,14 @@ module Contents = Hashtbl.Make (struct
   let hash = Wme.hash
 end)
 
+(* The wmes added at one goal level, for goal removal: the live ones
+   and removed ones not yet compacted away. *)
+type level_list = {
+  mutable members : Wme.t list;
+  mutable len : int;  (* [List.length members] *)
+  mutable dead : int;  (* members no longer in working memory *)
+}
+
 type t = {
   cfg : config;
   schema : Schema.t;
@@ -91,6 +99,9 @@ type t = {
   wme_level : int Contents.t;  (* live wme -> attachment level *)
   slots : (Sym.t * Sym.t, Wme.t list) Hashtbl.t;
       (* (goal, role) -> the slot's live value and preference wmes *)
+  mutable levels : level_list array;
+      (* level -> the wmes added there; only levels >= 2 are used, since
+         goal removal never deletes a level-1 wme *)
   creators : (int, Chunker.creator) Hashtbl.t;  (* timetag -> provenance *)
   mutable pending : (Task.flag * Wme.t) list;  (* buffered cycle changes, reversed *)
   mutable pending_results : pending_result list;
@@ -152,7 +163,36 @@ let live_level t w =
 (* Backtracing asks for the level of wmes that have left working memory
    since; they read 1, even when a wme with the same contents has been
    added again. *)
-let wme_level t w = if Wm.mem t.wm w then live_level t w else 1
+let level t w = if Wm.mem t.wm w then live_level t w else 1
+
+(* --- the level lists ------------------------------------------------------ *)
+
+let level_push t l w =
+  if l >= Array.length t.levels then
+    t.levels <-
+      Array.init (l + 1) (fun i ->
+          if i < Array.length t.levels then t.levels.(i)
+          else { members = []; len = 0; dead = 0 });
+  let ll = t.levels.(l) in
+  ll.members <- w :: ll.members;
+  ll.len <- ll.len + 1
+
+(* Called once the wme has left working memory. A list keeps at most
+   [level_slack] more removed members than live ones, so it stays
+   within twice its live wmes plus [level_slack]. *)
+let level_slack = 8
+
+let level_drop t l =
+  let ll = t.levels.(l) in
+  ll.dead <- ll.dead + 1;
+  if ll.dead > ll.len - ll.dead + level_slack then begin
+    ll.members <- List.filter (Wm.mem t.wm) ll.members;
+    ll.len <- ll.len - ll.dead;
+    ll.dead <- 0
+  end
+
+let level_members t ~level =
+  if level < Array.length t.levels then t.levels.(level).len else 0
 
 (* --- the decision index ------------------------------------------------ *)
 
@@ -219,6 +259,7 @@ let internal_add t ~cls ~fields ~level ~creator =
       | None -> level
     in
     Contents.add t.wme_level w lvl;
+    if lvl >= 2 then level_push t lvl w;
     index_add t w;
     (match creator with
     | Some c -> Hashtbl.replace t.creators w.Wme.timetag c
@@ -229,8 +270,10 @@ let internal_add t ~cls ~fields ~level ~creator =
 
 let internal_remove t w =
   if Wm.mem t.wm w then begin
+    let lvl = live_level t w in
     Wm.remove t.wm w;
     Contents.remove t.wme_level w;
+    if lvl >= 2 then level_drop t lvl;
     index_remove t w;
     Hashtbl.remove t.creators w.Wme.timetag;
     (* A wme added and removed within the same buffered cycle must not
@@ -283,6 +326,7 @@ let create ?(config = default_config) schema productions =
       id_level = Hashtbl.create 256;
       wme_level = Contents.create 1024;
       slots = Hashtbl.create 16;
+      levels = [||];
       creators = Hashtbl.create 1024;
       pending = [];
       pending_results = [];
@@ -312,7 +356,7 @@ let create ?(config = default_config) schema productions =
 
 let instantiation_level t (inst : Conflict_set.inst) =
   Array.fold_left
-    (fun acc w -> max acc (wme_level t w))
+    (fun acc w -> max acc (level t w))
     1 (Token.wmes inst.Conflict_set.token)
 
 let fire_instantiation_unmetered t (inst : Conflict_set.inst) =
@@ -435,7 +479,7 @@ let build_pending_chunks_unmetered t =
           let grounds =
             Chunker.backtrace
               ~creator_of:(fun w -> Hashtbl.find_opt t.creators w.Wme.timetag)
-              ~level_of:(wme_level t)
+              ~level_of:(level t)
               ~target_level:pr.pr_target_level
               ~seeds:pr.pr_creator.Chunker.c_conds
           in
@@ -577,36 +621,52 @@ type decision_outcome =
   | Impassed
   | Nothing
 
+(* The engines see a decision's deletes in the order they are pushed,
+   and the serial match totals and the modeled speedups follow that
+   order. Both victim sets below are therefore pushed in the order a
+   whole-working-memory walk used to collect them, sorted by
+   [Wm.iter_order] from the few wmes concerned.
+
+   Goal removal deletes, in reverse walk order, every live wme above
+   level [depth]: the live members of those levels' lists. *)
+let goal_victims t ~depth =
+  let live = ref [] in
+  for l = depth + 1 to Array.length t.levels - 1 do
+    List.iter (fun w -> if Wm.mem t.wm w then live := w :: !live) t.levels.(l).members
+  done;
+  List.sort (fun a b -> Wm.iter_order t.wm b a) !live
+
 let destroy_goals_below t depth =
   if List.exists (fun g -> g.depth > depth) t.goals then begin
     t.goals <- List.filter (fun g -> g.depth <= depth) t.goals;
-    let victims = ref [] in
-    Wm.iter (fun w -> if live_level t w > depth then victims := w :: !victims) t.wm;
-    List.iter (internal_remove t) !victims;
+    List.iter (internal_remove t) (goal_victims t ~depth);
+    for l = depth + 1 to Array.length t.levels - 1 do
+      let ll = t.levels.(l) in
+      ll.members <- [];
+      ll.len <- 0;
+      ll.dead <- 0
+    done;
     Hashtbl.filter_map_inplace
       (fun _ l -> if l > depth then None else Some l)
       t.id_level
   end
 
-(* Removes each cleared slot's value, then consumes its preferences,
-   role by role. The engines see the deletes in this order, so the
-   preferences go in working-memory order, collected by one pass. *)
+(* A slot's index entry holds its value wmes and its preferences. *)
+let preferences_in t wmes =
+  List.filter (fun w -> not (Sym.equal w.Wme.cls (Lazy.force goal_sym))) wmes
+  |> List.sort (Wm.iter_order t.wm)
+
+let slot_preferences t ~goal ~role = preferences_in t (slot_wmes t ~goal ~role)
+
+(* Removes each cleared slot's value, then consumes its preferences in
+   walk order, role by role. *)
 let clear_slot_and_deeper_roles t g role_idx =
-  let prefs = Array.make (List.length roles) [] in
-  Wm.iter
-    (fun w ->
-      match Prefs.decode w with
-      | Some (goal, r, _) when Sym.equal goal g.gid -> (
-        match List.find_index (String.equal (Sym.name r)) roles with
-        | Some i when i >= role_idx -> prefs.(i) <- w :: prefs.(i)
-        | Some _ | None -> ())
-      | _ -> ())
-    t.wm;
   List.iteri
     (fun i role ->
       if i >= role_idx then begin
-        Option.iter (internal_remove t) (value_wme (slot_wmes t ~goal:g.gid ~role));
-        List.iter (internal_remove t) (List.rev prefs.(i))
+        let wmes = slot_wmes t ~goal:g.gid ~role in
+        Option.iter (internal_remove t) (value_wme wmes);
+        List.iter (internal_remove t) (preferences_in t wmes)
       end)
     roles
 

@@ -126,3 +126,31 @@ val slot : t -> goal:Sym.t -> role:string -> Value.t option
     ["problem-space"], ["state"] and ["operator"]; for any other role the
     answer is [None]. Reads the decision index, which every working
     memory add and remove keeps current, so it costs no scan. *)
+
+(** {2 Decide's victim sets}
+
+    Slot clearing and goal removal push their deletes in the order a
+    walk over all of working memory ({!Wm.iter}) would collect them,
+    since the engines see a cycle's changes in that order. Both sets
+    come from indexes instead: the decision index and per-level lists
+    of the wmes added at each goal level >= 2. Slot clearing and goal
+    removal delete exactly these lists, computed by the same code; none
+    of these functions changes the agent. *)
+
+val slot_preferences : t -> goal:Sym.t -> role:string -> Wme.t list
+(** The preference wmes on one context slot, in {!Wm.iter} order: the
+    order slot clearing deletes them in. *)
+
+val goal_victims : t -> depth:int -> Wme.t list
+(** Every wme in working memory above goal level [depth], in reverse
+    {!Wm.iter} order: the order removing the goals below [depth]
+    deletes them in. *)
+
+val level : t -> Wme.t -> int
+(** The goal level a wme in working memory is attached to; 1 for a
+    wme that has left working memory. *)
+
+val level_members : t -> level:int -> int
+(** The length of [level]'s list: its wmes in working memory plus
+    removed ones not yet dropped from it. Stays within twice the live
+    ones plus a small constant. *)

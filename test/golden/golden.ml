@@ -13,8 +13,13 @@
    the serial engine. The rest are learning-on runs of every workload
    (io-stream builds no chunks by construction): a serial line with the
    run's shape and match totals, then the modeled speedup of the same
-   run on the 13-process, multiple-queue simulator. Only the sim line
-   sees the order of a cycle's changes; the serial totals do not. *)
+   run on the 13-process, multiple-queue simulator. Both kinds of line
+   depend on the order of a cycle's changes: reordering a decision's
+   deletes moves the serial scanned, tasks and emitted totals (strips
+   with learning off shows it) as well as the modeled speedups. Decide
+   pushes its deletes in working memory's walk order; the second
+   runtest rule runs this program with every hash table randomized
+   (OCAMLRUNPARAM=R) and diffs it against the same expected file. *)
 
 open Psme_engine
 open Psme_soar

@@ -523,6 +523,65 @@ let prop_event_queue_sorted =
       in
       drain neg_infinity)
 
+(* [Wm.iter] visits working memory in [Wm.iter_order], and the bucket
+   count that order reads is the table's own. Each case grows working
+   memory past 1,024 wmes, so the table doubles at 512 and at 1,024
+   (and at 2,048 when the regrowth passes it), with random removals in
+   between, then removes a random share and adds again (the table never
+   shrinks). Checked every 97 operations, at every doubling and at the
+   end. A change to Stdlib's Hashtbl growth or bucket order fails
+   here. *)
+let prop_wm_iter_order =
+  QCheck.Test.make ~count:25 ~name:"wm: iter visits in iter_order through table growth"
+    QCheck.(triple (int_range 1_030 2_000) (int_range 0 45) small_nat)
+    (fun (peak, remove_pct, seed) ->
+      (* shrinking may step below the generator's range *)
+      let peak = max 1_030 peak in
+      let rng = Random.State.make [| seed |] in
+      let wm = Wm.create () in
+      let cls = Sym.intern "w" in
+      let live = Vec.create () in
+      let ok = ref true in
+      let check () =
+        let walk = ref [] in
+        Wm.iter (fun w -> walk := w.Wme.timetag :: !walk) wm;
+        let walk = List.rev !walk in
+        let sorted =
+          List.sort (Wm.iter_order wm) (Vec.to_list live)
+          |> List.map (fun w -> w.Wme.timetag)
+        in
+        if walk <> sorted then ok := false;
+        if (Wm.stats wm).Hashtbl.num_buckets <> Wm.buckets wm then ok := false
+      in
+      let add () =
+        let before = Wm.buckets wm in
+        Vec.push live (Wm.add wm ~cls ~fields:[| Value.Int (Vec.length live) |]);
+        if Wm.buckets wm <> before then check ()
+      in
+      let remove () =
+        let i = Random.State.int rng (Vec.length live) in
+        Wm.remove wm (Vec.get live i);
+        Vec.swap_remove live i
+      in
+      let ops = ref 0 in
+      let step f =
+        f ();
+        incr ops;
+        if !ops mod 97 = 0 then check ()
+      in
+      while Vec.length live < peak do
+        if Vec.length live > 0 && Random.State.int rng 100 < remove_pct then step remove
+        else step add
+      done;
+      for _ = 1 to Random.State.int rng (peak - 1) do
+        step remove
+      done;
+      for _ = 1 to Random.State.int rng 600 do
+        step add
+      done;
+      check ();
+      !ok && Wm.buckets wm >= 1_024)
+
 let prop_token_permute_roundtrip =
   QCheck.Test.make ~count:200 ~name:"token permute by inverse is identity"
     QCheck.(small_nat)
@@ -705,6 +764,7 @@ let suite =
       prop_remove_all_empties_cs;
       prop_runtime_add_equals_preload;
       prop_decide_sound;
+      prop_wm_iter_order;
       prop_event_queue_sorted;
       prop_token_permute_roundtrip;
       prop_histogram_total;

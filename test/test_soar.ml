@@ -241,6 +241,136 @@ let test_decision_index_agrees () =
       ("io-stream", fun () -> Io_stream.make_agent ());
     ]
 
+(* Slot clearing and goal removal take their victims from indexes and
+   must delete them in the order a whole-working-memory walk collects
+   them. After every decision of eight-puzzle and cypress (learning on,
+   so subgoals come and go), [Agent.slot_preferences] and
+   [Agent.goal_victims] agree with such a walk, and every level list
+   stays within twice its live wmes plus a constant. *)
+let test_decide_victims_match_walk () =
+  let open Psme_workloads in
+  let roles = [ "problem-space"; "state"; "operator" ] in
+  let tags = List.map (fun w -> w.Wme.timetag) in
+  let check name agent decision =
+    let walk = ref [] in
+    Wm.iter (fun w -> walk := w :: !walk) (Agent.wm agent);
+    let walk = List.rev !walk in
+    let goals =
+      List.sort_uniq Sym.compare
+        (List.filter_map
+           (fun w ->
+             match w.Wme.fields with
+             | [| Value.Sym g; _; _ |] when Sym.name w.Wme.cls = "goal" -> Some g
+             | _ -> None)
+           walk)
+    in
+    let fail what = Alcotest.failf "%s decision %d: %s" name decision what in
+    List.iter
+      (fun g ->
+        List.iter
+          (fun role ->
+            let expected =
+              List.filter
+                (fun w ->
+                  match Prefs.decode w with
+                  | Some (goal, r, _) -> Sym.equal goal g && Sym.name r = role
+                  | None -> false)
+                walk
+            in
+            if tags (Agent.slot_preferences agent ~goal:g ~role) <> tags expected then
+              fail (Printf.sprintf "preferences of %s %s" (Sym.name g) role))
+          roles)
+      goals;
+    let depth = Agent.goal_depth agent in
+    for d = 1 to depth do
+      let expected = List.rev (List.filter (fun w -> Agent.level agent w > d) walk) in
+      if tags (Agent.goal_victims agent ~depth:d) <> tags expected then
+        fail (Printf.sprintf "victims below depth %d" d)
+    done;
+    for l = 2 to depth do
+      let live = List.length (List.filter (fun w -> Agent.level agent w = l) walk) in
+      if Agent.level_members agent ~level:l > (2 * live) + 16 then
+        fail (Printf.sprintf "level %d list holds %d for %d live" l
+                (Agent.level_members agent ~level:l) live)
+    done
+  in
+  List.iter
+    (fun (name, make) ->
+      let agent : Agent.t = make () in
+      Agent.set_monitor agent (check name agent);
+      let s = Agent.run agent in
+      Alcotest.(check bool) (name ^ " built chunks") true (s.Agent.chunks <> []))
+    [
+      ("eight-puzzle", fun () -> Eight_puzzle.workload.Workload.make ());
+      ("cypress", fun () -> Cypress.workload.Workload.make ());
+    ]
+
+(* A tie at the top keeps one level-2 subgoal alive while it steps its
+   own operator slot along a successor chain: each decision adds an
+   acceptable, a reject and a value wme at level 2 and removes as many.
+   The level-2 list must not grow with the rounds. *)
+let stepping_task =
+  {|
+(sp step*propose-space
+  (goal <g> ^top-goal yes)
+  -->
+  (make preference ^goal <g> ^role problem-space ^value stepping ^type acceptable))
+
+(sp step*tie
+  (goal <g> ^problem-space stepping)
+  -->
+  (make preference ^goal <g> ^role state ^value a ^type acceptable)
+  (make preference ^goal <g> ^role state ^value b ^type acceptable))
+
+(sp step*sub-space
+  (goal <g> ^impasse tie)
+  -->
+  (make preference ^goal <g> ^role problem-space ^value count ^type acceptable))
+
+(sp step*sub-state
+  (goal <g> ^problem-space count)
+  -->
+  (make preference ^goal <g> ^role state ^value s0 ^type acceptable))
+
+(sp step*first
+  (goal <g> ^problem-space count ^state s0)
+  -->
+  (make preference ^goal <g> ^role operator ^value n0 ^type acceptable))
+
+(sp step*next
+  (goal <g> ^problem-space count ^state s0 ^operator <n>)
+  (succ <x> ^of <n> ^is <m>)
+  -->
+  (make preference ^goal <g> ^role operator ^value <m> ^type acceptable)
+  (make preference ^goal <g> ^role operator ^value <n> ^type reject))
+|}
+
+let test_level_list_bounded () =
+  let rounds = 200 in
+  let schema = Schema.create () in
+  Agent.prepare_schema schema;
+  let config = { Agent.default_config with Agent.learning = false } in
+  let agent = Agent.create ~config schema (Parser.productions schema stepping_task) in
+  for i = 0 to rounds - 1 do
+    let id = Agent.new_id agent "succ" in
+    Agent.add_triple agent ~cls:"succ" ~id ~attr:"of" ~value:(v (Printf.sprintf "n%d" i));
+    Agent.add_triple agent ~cls:"succ" ~id ~attr:"is"
+      ~value:(v (Printf.sprintf "n%d" (i + 1)))
+  done;
+  let worst = ref 0 in
+  Agent.set_monitor agent (fun _ ->
+      let live = ref 0 in
+      Wm.iter (fun w -> if Agent.level agent w = 2 then incr live) (Agent.wm agent);
+      worst := max !worst (Agent.level_members agent ~level:2 - (2 * !live)));
+  let s = Agent.run agent in
+  Alcotest.(check int) "the subgoal stays" 2 (Agent.goal_depth agent);
+  Alcotest.(check bool)
+    (Printf.sprintf "stepped every round (%d decisions)" s.Agent.decisions)
+    true (s.Agent.decisions > rounds);
+  Alcotest.(check bool)
+    (Printf.sprintf "level-2 list within 2 * live + 16 (worst excess %d)" !worst)
+    true (!worst <= 16)
+
 (* --- tie impasse, evaluation subgoal, chunking ------------------------ *)
 
 (* Two operators with different scores tie; the subgoal evaluates them
@@ -481,6 +611,9 @@ let suite =
     Alcotest.test_case "working memory is a set" `Quick test_wm_is_a_set;
     Alcotest.test_case "decision index agrees with working memory" `Quick
       test_decision_index_agrees;
+    Alcotest.test_case "decide victims match a working-memory walk" `Quick
+      test_decide_victims_match_walk;
+    Alcotest.test_case "level list stays bounded" `Quick test_level_list_bounded;
     Alcotest.test_case "tie creates subgoal and resolves" `Quick
       test_tie_creates_subgoal_and_resolves;
     Alcotest.test_case "tie learns chunk" `Quick test_tie_learns_chunk;

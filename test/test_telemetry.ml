@@ -109,6 +109,86 @@ let test_phase_attribution_exclusive () =
   Alcotest.(check (float 0.)) "no dropped sections" 0.
     (get "telemetry.dropped_sections")
 
+(* Collection counts are re-read only when promoted words moved, yet
+   every collection must land in exactly one section: nested sections
+   around forced minor collections that keep young data alive have
+   exclusive counts summing to the whole program's, and see promoted
+   words. Sections that allocate nothing read zero words and no
+   collection, also when nested (the child's measurement words are
+   charged to the parent's child total). *)
+let test_collections_attributed_once () =
+  let t = Telemetry.create () in
+  let keep = ref [] in
+  let collect () =
+    for i = 1 to 1_000 do
+      keep := ref i :: !keep
+    done;
+    Gc.minor ()
+  in
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  Telemetry.with_phase t Telemetry.Match (fun () ->
+      collect ();
+      Telemetry.with_phase t Telemetry.Act (fun () ->
+          collect ();
+          collect ());
+      collect ();
+      Telemetry.with_phase t Telemetry.Chunk_splice (fun () ->
+          Telemetry.with_phase t Telemetry.Conflict_resolution collect));
+  let s1 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity !keep);
+  let kv = Telemetry.snapshot_kv t in
+  let get p field =
+    Option.value ~default:(-1.)
+      (List.assoc_opt ("telemetry.phase." ^ Telemetry.phase_name p ^ "." ^ field) kv)
+  in
+  let sum field = List.fold_left (fun a p -> a +. get p field) 0. Telemetry.phases in
+  Alcotest.(check (float 0.)) "exclusive minor collections sum to the program's"
+    (float_of_int (s1.Gc.minor_collections - s0.Gc.minor_collections))
+    (sum "minor_collections");
+  (* a forced minor collection counts one or two (a major slice may
+     empty the minor heap again) *)
+  List.iter
+    (fun (p, n) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s saw at least %.0f minor collections" (Telemetry.phase_name p) n)
+        true
+        (get p "minor_collections" >= n))
+    [ (Telemetry.Match, 2.); (Telemetry.Act, 2.); (Telemetry.Conflict_resolution, 1.) ];
+  Alcotest.(check (float 0.)) "chunk-splice's collection is its child's" 0.
+    (get Telemetry.Chunk_splice "minor_collections");
+  (* the child's stat re-read allocated in chunk-splice's window *)
+  Alcotest.(check (float 0.)) "chunk-splice's words are its child's" 0.
+    (get Telemetry.Chunk_splice "minor_words");
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Telemetry.phase_name p ^ " promoted words")
+        true
+        (get p "promoted_words" > 0.))
+    [ Telemetry.Match; Telemetry.Act; Telemetry.Conflict_resolution ];
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> ()
+  | Sys.Native ->
+    let e = Telemetry.create () in
+    Telemetry.phase_begin e Telemetry.Match;
+    Telemetry.phase_begin e Telemetry.Act;
+    Telemetry.phase_end e Telemetry.Act;
+    Telemetry.phase_end e Telemetry.Match;
+    let kv = Telemetry.snapshot_kv e in
+    List.iter
+      (fun p ->
+        List.iter
+          (fun field ->
+            let k = "telemetry.phase." ^ Telemetry.phase_name p ^ "." ^ field in
+            Alcotest.(check (float 0.)) ("empty: " ^ k) 0.
+              (Option.value ~default:(-1.) (List.assoc_opt k kv)))
+          [
+            "minor_words"; "promoted_words"; "major_words"; "minor_collections";
+            "major_collections"; "compactions";
+          ])
+      [ Telemetry.Match; Telemetry.Act ]
+
 let test_phase_overflow () =
   let t = Telemetry.create () in
   (* 12 nested begins overflow the 8-deep frame stack; the matching
@@ -341,6 +421,8 @@ let suite =
     Alcotest.test_case "record path zero alloc" `Quick test_record_path_zero_alloc;
     Alcotest.test_case "phase attribution exclusive" `Quick
       test_phase_attribution_exclusive;
+    Alcotest.test_case "collections attributed once" `Quick
+      test_collections_attributed_once;
     Alcotest.test_case "phase stack overflow" `Quick test_phase_overflow;
     Alcotest.test_case "telemetry json golden" `Quick test_telemetry_json_golden;
     Alcotest.test_case "stream roundtrip" `Quick test_stream_roundtrip;
